@@ -31,13 +31,13 @@
 // the swap phase.
 //
 // A fifth measurement drives the network tier end to end and multi-process:
-// for each shard count in {1, 2, 4} an in-process NetServer listens on a
-// unix socket while --clients copies of this binary (re-spawned in a hidden
-// --client mode) run the workload closed-loop over real sockets for
-// --net-seconds. Children report raw latency samples, so the merged
-// p50/p99 are exact. A cold-start probe times SnapshotReader::Open in read
-// mode (eager whole-file CRC) against mmap mode (map + header parse, CRC
-// deferred) and mmap-to-first-answer; the gate is mmap open < read open.
+// an in-process NetServer listens on a unix socket while --clients copies of
+// this binary (re-spawned in a hidden --client mode) run the workload
+// closed-loop over real sockets for --net-seconds. Children report raw
+// latency samples, so the merged p50/p99 are exact. A cold-start probe
+// times SnapshotReader::Open in read mode (eager whole-file CRC) against
+// mmap mode (map + header parse, CRC deferred) and mmap-to-first-answer;
+// the gate is mmap open < read open.
 //
 //   bench_serve [--scale 0.25] [--threads 4] [--clients 8] [--swaps 120]
 //               [--publish-faults] [--max-p99-ms 0] [--net-seconds 2]
@@ -411,9 +411,8 @@ int RunClientMode(int argc, char** argv) {
   return 0;
 }
 
-/// Result of one net-phase run (one shard count).
+/// Result of the net-phase run.
 struct NetResult {
-  int shards = 0;
   uint64_t requests = 0;
   uint64_t failures = 0;
   double qps = 0.0;
@@ -426,13 +425,9 @@ struct NetResult {
 /// in-process NetServer on a unix socket and merges their raw samples.
 NetResult RunNetPhase(const char* self, const SnapshotReader& snap,
                       const std::string& workload_path, size_t clients,
-                      int shards, double seconds,
-                      const QueryEngineOptions& engine_options) {
+                      double seconds, const QueryEngineOptions& engine_options) {
   NetResult result;
-  result.shards = shards;
-
   RouterOptions router_options;
-  router_options.num_shards = static_cast<uint32_t>(shards);
   router_options.engine = engine_options;
   router_options.batch.max_wait_ms = 0;
   ShardRouter router(&snap, router_options);
@@ -687,7 +682,7 @@ int main(int argc, char** argv) {
   SwapResult swap = RunSwapPhase(snap, workload, clients, swaps, publish_faults,
                                  engine_options);
 
-  // Net phase: real sockets, child processes, per shard count.
+  // Net phase: real sockets, child processes.
   const std::string workload_path =
       (std::filesystem::temp_directory_path() / "bench_serve_workload.txt").string();
   {
@@ -699,22 +694,16 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const int kShardCounts[] = {1, 2, 4};
-  std::vector<NetResult> net_results;
-  for (int shards : kShardCounts) {
-    net_results.push_back(RunNetPhase(argv[0], snap, workload_path, clients,
-                                      shards, net_seconds, engine_options));
-    const NetResult& n = net_results.back();
-    if (!n.error.empty()) {
-      std::fprintf(stderr, "net phase (%d shards) failed: %s\n", shards,
-                   n.error.c_str());
-      return 1;
-    }
-    std::printf("net %d shard(s): %llu requests, %9.0f qps, p50 %.1f us, "
-                "p99 %.1f us, %llu failures\n",
-                n.shards, static_cast<unsigned long long>(n.requests), n.qps,
-                n.p50_us, n.p99_us, static_cast<unsigned long long>(n.failures));
+  const NetResult net = RunNetPhase(argv[0], snap, workload_path, clients,
+                                    net_seconds, engine_options);
+  if (!net.error.empty()) {
+    std::fprintf(stderr, "net phase failed: %s\n", net.error.c_str());
+    return 1;
   }
+  std::printf("net: %llu requests, %9.0f qps, p50 %.1f us, p99 %.1f us, "
+              "%llu failures\n",
+              static_cast<unsigned long long>(net.requests), net.qps, net.p50_us,
+              net.p99_us, static_cast<unsigned long long>(net.failures));
   ColdStartResult cold_start = MeasureColdStart(snapshot_path, point_query);
   if (!cold_start.error.empty()) {
     std::fprintf(stderr, "cold-start probe failed: %s\n", cold_start.error.c_str());
@@ -800,19 +789,13 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(swap.failures),
                static_cast<unsigned long long>(swap.shed),
                swap.failed_publishes, swap.rolled_back, swap.wall_ms);
-  std::fprintf(f, "  \"net\": [\n");
-  for (size_t i = 0; i < net_results.size(); ++i) {
-    const NetResult& n = net_results[i];
-    std::fprintf(f,
-                 "    {\"shards\": %d, \"clients\": %zu, \"seconds\": %g, "
-                 "\"requests\": %llu, \"qps\": %.1f, \"p50_us\": %.2f, "
-                 "\"p99_us\": %.2f, \"failures\": %llu}%s\n",
-                 n.shards, clients, net_seconds,
-                 static_cast<unsigned long long>(n.requests), n.qps, n.p50_us,
-                 n.p99_us, static_cast<unsigned long long>(n.failures),
-                 i + 1 == net_results.size() ? "" : ",");
-  }
-  std::fprintf(f, "  ],\n");
+  std::fprintf(f,
+               "  \"net\": {\"clients\": %zu, \"seconds\": %g, "
+               "\"requests\": %llu, \"qps\": %.1f, \"p50_us\": %.2f, "
+               "\"p99_us\": %.2f, \"failures\": %llu},\n",
+               clients, net_seconds, static_cast<unsigned long long>(net.requests),
+               net.qps, net.p50_us, net.p99_us,
+               static_cast<unsigned long long>(net.failures));
   std::fprintf(f,
                "  \"cold_start\": {\"read_open_ms\": %.4f, "
                "\"mmap_open_ms\": %.4f, \"mmap_first_query_ms\": %.4f},\n",
@@ -864,16 +847,14 @@ int main(int argc, char** argv) {
                  swap.p99_us, max_p99_ms);
     return 1;
   }
-  for (const NetResult& n : net_results) {
-    if (n.failures > 0) {
-      std::fprintf(stderr, "FAIL: %llu non-OK responses over the socket (%d shards)\n",
-                   static_cast<unsigned long long>(n.failures), n.shards);
-      return 1;
-    }
-    if (n.qps <= 0.0) {
-      std::fprintf(stderr, "FAIL: zero socket QPS (%d shards)\n", n.shards);
-      return 1;
-    }
+  if (net.failures > 0) {
+    std::fprintf(stderr, "FAIL: %llu non-OK responses over the socket\n",
+                 static_cast<unsigned long long>(net.failures));
+    return 1;
+  }
+  if (net.qps <= 0.0) {
+    std::fprintf(stderr, "FAIL: zero socket QPS\n");
+    return 1;
   }
   if (cold_start.mmap_open_ms >= cold_start.read_open_ms) {
     std::fprintf(stderr,

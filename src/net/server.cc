@@ -5,6 +5,7 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -104,8 +105,18 @@ Status NetServer::Start() {
       return Status::IOError("socket: " + std::string(std::strerror(errno)));
     }
     // A previous instance's socket file would make bind fail with
-    // EADDRINUSE even though nobody is listening; replace it.
-    ::unlink(addr.path.c_str());
+    // EADDRINUSE even though nobody is listening; replace it. Anything that
+    // is not a socket is someone's file: refuse rather than delete it.
+    struct stat existing {};
+    if (::lstat(addr.path.c_str(), &existing) == 0) {
+      if (!S_ISSOCK(existing.st_mode)) {
+        ::close(listen_fd_);
+        listen_fd_ = -1;
+        return Status::IOError("listen path exists and is not a socket: " +
+                               addr.path);
+      }
+      ::unlink(addr.path.c_str());
+    }
     if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&sun), sizeof(sun)) < 0) {
       Status st = Status::IOError("bind " + addr.path + ": " +
                                   std::string(std::strerror(errno)));

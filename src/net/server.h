@@ -45,15 +45,15 @@ struct NetServerCounters {
 /// Non-blocking TCP/unix-socket front-end speaking the line protocol: one
 /// request line in, one response line out, pipelining allowed. A single
 /// epoll thread owns every connection; request execution happens on the
-/// router's shard batchers (pool threads), and completions come back through
-/// an eventfd-signalled queue.
+/// router's batcher (pool threads), and completions come back through an
+/// eventfd-signalled queue.
 ///
 /// Ordering guarantee: responses are written in request order per
-/// connection. Shards complete out of order, so each connection assigns a
-/// sequence number per request and holds completed responses in a reorder
-/// buffer until their turn. Oversized lines consume a sequence slot (their
-/// ERR is a local completion), which keeps the stream aligned for pipelined
-/// clients.
+/// connection. Inline answers (`stats`, `metrics`, oversized-line ERRs)
+/// complete ahead of requests still queued in the batcher, so each
+/// connection assigns a sequence number per request and holds completed
+/// responses in a reorder buffer until their turn. Oversized lines consume a
+/// sequence slot, which keeps the stream aligned for pipelined clients.
 ///
 /// Partial-I/O safety: reads feed an incremental LineDecoder (verbs split
 /// across reads reassemble); writes go through a WriteQueue surviving
@@ -68,7 +68,9 @@ class NetServer {
   NetServer(const NetServer&) = delete;
   NetServer& operator=(const NetServer&) = delete;
 
-  /// Binds, listens, and starts the event-loop thread.
+  /// Binds, listens, and starts the event-loop thread. A unix listen path
+  /// left behind by an earlier server is replaced only when it is a socket;
+  /// any other file there fails Start() with IOError and is left alone.
   Status Start();
 
   /// Stops the loop, closes every connection and the listener (unlinking a

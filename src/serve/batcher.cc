@@ -81,12 +81,10 @@ std::future<std::string> Batcher::Submit(std::string line, int deadline_ms,
 
 void Batcher::SubmitCallback(std::string line, int deadline_ms,
                              RequestPriority priority,
-                             std::function<void(std::string)> done,
-                             bool record_stats) {
+                             std::function<void(std::string)> done) {
   Request req;
   req.line = std::move(line);
   req.callback = std::move(done);
-  req.record_stats = record_stats;
   SubmitRequest(std::move(req), deadline_ms, priority);
 }
 
@@ -273,7 +271,7 @@ void Batcher::RunBatch(std::deque<Request>* batch) {
   std::vector<std::string> responses = ParallelMap<std::string>(n, [&](size_t i) {
     Request& req = (*batch)[i];
     if (engine == nullptr) {
-      return std::string("ERR\tno snapshot generation available");
+      return std::string(kNoGenerationResponse);
     }
     if (req.has_deadline) {
       if (req.deadline <= now) return std::string("ERR\tdeadline exceeded");
@@ -281,9 +279,9 @@ void Batcher::RunBatch(std::deque<Request>* batch) {
       token.ArmDeadline(std::chrono::duration_cast<std::chrono::milliseconds>(
           req.deadline - now));
       ScopedCancellation scoped(&token);
-      return engine->Answer(req.line, req.record_stats);
+      return engine->Answer(req.line);
     }
-    return engine->Answer(req.line, req.record_stats);
+    return engine->Answer(req.line);
   });
   // Record expiries before fulfilling any promise: a waiter woken by get()
   // must already see its request counted in Snapshot().

@@ -104,11 +104,8 @@ class Batcher {
   /// exactly once: from a pool worker normally, or synchronously on the
   /// calling thread when the request is shed or the batcher is stopping —
   /// so it must not block and must not re-enter the batcher.
-  /// `record_stats == false` answers without recording ServeStats or verb
-  /// metrics (shadow scatter-gather legs, counted once at the primary).
   void SubmitCallback(std::string line, int deadline_ms, RequestPriority priority,
-                      std::function<void(std::string)> done,
-                      bool record_stats = true);
+                      std::function<void(std::string)> done);
 
   /// Holds dispatch so queued requests coalesce; Resume() releases them.
   void Pause();
@@ -123,7 +120,6 @@ class Batcher {
     /// When set, completion goes through the callback and the promise is
     /// never touched (SubmitCallback path).
     std::function<void(std::string)> callback;
-    bool record_stats = true;
     bool has_deadline = false;
     std::chrono::steady_clock::time_point deadline{};
     /// When Submit() queued the request; feeds the batch.queue_wait_ns

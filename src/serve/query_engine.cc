@@ -47,6 +47,14 @@ std::string FormatScore(double v) {
   return buf;
 }
 
+/// The query type named by one verb token; kNumTypes when unknown.
+QueryType TypeOfVerb(std::string_view verb) {
+  for (int i = 0; i < kNumTypes; ++i) {
+    if (verb == kTypeNames[i]) return static_cast<QueryType>(i);
+  }
+  return QueryType::kNumTypes;
+}
+
 std::vector<std::string_view> Tokenize(std::string_view line) {
   while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
     line.remove_suffix(1);
@@ -104,6 +112,11 @@ bool ParseCount(std::string_view token, uint64_t* out) {
 
 std::string_view QueryTypeName(QueryType type) {
   return kTypeNames[static_cast<int>(type)];
+}
+
+QueryType VerbOf(std::string_view line) {
+  const std::vector<std::string_view> tokens = Tokenize(line);
+  return tokens.empty() ? QueryType::kNumTypes : TypeOfVerb(tokens[0]);
 }
 
 uint32_t SectionsForQuery(QueryType type) {
@@ -164,52 +177,6 @@ void ServeStats::Reset() {
   }
 }
 
-QueryTypeStats MergeTypeStats(const std::vector<const ServeStats*>& stats,
-                              QueryType type) {
-  QueryTypeStats merged;
-  for (const ServeStats* shard : stats) {
-    if (shard == nullptr) continue;
-    QueryTypeStats s = shard->Snapshot(type);
-    merged.count += s.count;
-    merged.cache_hits += s.cache_hits;
-    merged.errors += s.errors;
-    merged.total_ns += s.total_ns;
-    merged.max_ns = std::max(merged.max_ns, s.max_ns);
-  }
-  return merged;
-}
-
-std::string FormatStatsResponse(const std::vector<const ServeStats*>& stats,
-                                uint64_t generation, int num_shards) {
-  std::string out = "OK\tstats";
-  for (int i = 0; i < kNumTypes; ++i) {
-    if (static_cast<QueryType>(i) == QueryType::kStats ||
-        static_cast<QueryType>(i) == QueryType::kMetrics) {
-      continue;
-    }
-    QueryTypeStats s = MergeTypeStats(stats, static_cast<QueryType>(i));
-    out += '\t';
-    out += kTypeNames[i];
-    out += "=count:" + std::to_string(s.count) +
-           ",hits:" + std::to_string(s.cache_hits) +
-           ",errors:" + std::to_string(s.errors) +
-           ",mean_ns:" + std::to_string(static_cast<uint64_t>(s.MeanNs())) +
-           ",max_ns:" + std::to_string(s.max_ns);
-  }
-  // Hot-swap and admission-control counters (all 0 for single-snapshot
-  // serving: CounterValue reads 0 for never-registered names). Appended last
-  // so older consumers that split on the per-verb fields keep parsing.
-  out += "\tgeneration=" + std::to_string(generation) +
-         "\tswaps=" + std::to_string(GlobalMetrics().CounterValue("serve.swap.count")) +
-         "\tfailed_publishes=" +
-         std::to_string(GlobalMetrics().CounterValue("serve.publish.failed")) +
-         "\trolled_back=" +
-         std::to_string(GlobalMetrics().CounterValue("serve.publish.rolled_back")) +
-         "\tshed=" + std::to_string(GlobalMetrics().CounterValue("batch.shed"));
-  if (num_shards > 0) out += "\tshards=" + std::to_string(num_shards);
-  return out;
-}
-
 // -- QueryEngine -------------------------------------------------------------
 
 QueryEngine::QueryEngine(const SnapshotReader* snapshot, QueryEngineOptions options)
@@ -253,18 +220,12 @@ std::string QueryEngine::Answer(std::string_view line, bool record_stats) {
   std::vector<std::string_view> tokens = Tokenize(line);
   if (tokens.empty()) return "ERR\tempty request";
 
-  int type_index = -1;
-  for (int i = 0; i < kNumTypes; ++i) {
-    if (tokens[0] == kTypeNames[i]) {
-      type_index = i;
-      break;
-    }
-  }
-  if (type_index < 0) {
+  const QueryType type = TypeOfVerb(tokens[0]);
+  if (type == QueryType::kNumTypes) {
     return "ERR\tunknown verb '" + std::string(tokens[0]) +
            "' (instances-of|concepts-of|is-a|drift-score|mutex|stats|metrics)";
   }
-  const QueryType type = static_cast<QueryType>(type_index);
+  const int type_index = static_cast<int>(type);
   std::vector<std::string_view> args(tokens.begin() + 1, tokens.end());
 
   std::string response;
@@ -477,7 +438,32 @@ void QueryEngine::CachePut(const std::string& key, const std::string& response) 
 }
 
 std::string QueryEngine::FormatStats() const {
-  return FormatStatsResponse({stats_ptr_}, options_.generation);
+  std::string out = "OK\tstats";
+  for (int i = 0; i < kNumTypes; ++i) {
+    if (static_cast<QueryType>(i) == QueryType::kStats ||
+        static_cast<QueryType>(i) == QueryType::kMetrics) {
+      continue;
+    }
+    const QueryTypeStats s = stats_ptr_->Snapshot(static_cast<QueryType>(i));
+    out += '\t';
+    out += kTypeNames[i];
+    out += "=count:" + std::to_string(s.count) +
+           ",hits:" + std::to_string(s.cache_hits) +
+           ",errors:" + std::to_string(s.errors) +
+           ",mean_ns:" + std::to_string(static_cast<uint64_t>(s.MeanNs())) +
+           ",max_ns:" + std::to_string(s.max_ns);
+  }
+  // Hot-swap and admission-control counters (all 0 for single-snapshot
+  // serving: CounterValue reads 0 for never-registered names). Appended last
+  // so older consumers that split on the per-verb fields keep parsing.
+  out += "\tgeneration=" + std::to_string(options_.generation) +
+         "\tswaps=" + std::to_string(GlobalMetrics().CounterValue("serve.swap.count")) +
+         "\tfailed_publishes=" +
+         std::to_string(GlobalMetrics().CounterValue("serve.publish.failed")) +
+         "\trolled_back=" +
+         std::to_string(GlobalMetrics().CounterValue("serve.publish.rolled_back")) +
+         "\tshed=" + std::to_string(GlobalMetrics().CounterValue("batch.shed"));
+  return out;
 }
 
 }  // namespace semdrift

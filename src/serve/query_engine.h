@@ -45,6 +45,10 @@ enum class QueryType : int {
 /// Wire name of a query type ("instances-of", ...).
 std::string_view QueryTypeName(QueryType type);
 
+/// The verb a request line names, tokenized exactly as QueryEngine::Answer
+/// tokenizes it; kNumTypes for an empty line or an unknown verb.
+QueryType VerbOf(std::string_view line);
+
 /// Snapshot sections a query type reads (SnapshotSection bitmask), for
 /// SnapshotReader::EnsureSections. Name resolution (NSRT + both name tables)
 /// is included for every name-taking verb; stats/metrics touch no section.
@@ -86,20 +90,6 @@ class ServeStats {
   Cell cells_[static_cast<int>(QueryType::kNumTypes)];
 };
 
-/// Point-in-time merge across several ServeStats: counts sum, max_ns takes
-/// the max. The shard router aggregates its per-shard engines this way;
-/// each client request lands in exactly one shard's stats because shadow
-/// fan-out legs execute with Answer(line, /*record_stats=*/false).
-QueryTypeStats MergeTypeStats(const std::vector<const ServeStats*>& stats,
-                              QueryType type);
-
-/// Formats the `stats` response line from merged counters. With a single
-/// ServeStats and num_shards == 0 this is byte-identical to
-/// QueryEngine::FormatStats; num_shards > 0 appends a trailing
-/// "shards=<N>" field.
-std::string FormatStatsResponse(const std::vector<const ServeStats*>& stats,
-                                uint64_t generation, int num_shards = 0);
-
 struct QueryEngineOptions {
   /// Result-cache shards (power of two; keys hash to a shard so concurrent
   /// queries rarely contend on one mutex).
@@ -133,8 +123,8 @@ class QueryEngine {
   std::string Answer(std::string_view line);
 
   /// Same, but with `record_stats == false` neither ServeStats nor the
-  /// per-verb registry metrics are touched. The router's shadow fan-out legs
-  /// use this so a scatter-gathered request is counted exactly once.
+  /// per-verb registry metrics are touched, so reference answers computed
+  /// outside the serving path leave the serving counters alone.
   std::string Answer(std::string_view line, bool record_stats);
 
   const SnapshotReader& snapshot() const { return *snapshot_; }
@@ -200,9 +190,14 @@ struct EnginePin {
   std::shared_ptr<const void> keepalive;
 };
 
+/// Answer to every request that finds no engine to run on (hot-swap serving
+/// before the first generation loads).
+inline constexpr std::string_view kNoGenerationResponse =
+    "ERR\tno snapshot generation available";
+
 /// Resolves the engine to use for the next batch. Must be callable from any
 /// thread; returning a null engine makes the batch answer
-/// "ERR\tno snapshot generation available".
+/// kNoGenerationResponse.
 using EngineSource = std::function<EnginePin()>;
 
 }  // namespace semdrift

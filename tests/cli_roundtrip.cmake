@@ -50,3 +50,12 @@ execute_process(
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR "bad --quarantine value should exit 2, got ${rc}")
 endif()
+# `serve` takes no shard count: --shards is an unknown flag, and unknown
+# flags are usage errors.
+execute_process(
+  COMMAND ${CLI} serve --shards 2 --snapshot ${WORK_DIR}/missing.bin
+  INPUT_FILE /dev/null
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "serve --shards should exit 2, got ${rc}: ${err}")
+endif()

@@ -110,7 +110,7 @@ endif()
 set(SOCK ${WORK_DIR}/serve.sock)
 file(REMOVE ${SOCK})
 execute_process(
-  COMMAND ${SH} -c "'${CLI}' serve --listen 'unix:${SOCK}' --publish-dir '${PUB}' --poll-ms 50 --shards 2 > '${WORK_DIR}/server.log' 2>&1 & echo $!"
+  COMMAND ${SH} -c "'${CLI}' serve --listen 'unix:${SOCK}' --publish-dir '${PUB}' --poll-ms 50 > '${WORK_DIR}/server.log' 2>&1 & echo $!"
   RESULT_VARIABLE rc OUTPUT_VARIABLE server_pid)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "failed to launch server (${rc})")

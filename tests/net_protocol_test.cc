@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "net/hash_ring.h"
 #include "net/line_channel.h"
 
 namespace semdrift {
@@ -245,62 +244,6 @@ TEST(ParseListenAddressTest, Malformed) {
   EXPECT_FALSE(ParseListenAddress("tcp:host:notaport", &addr, &error));
   EXPECT_FALSE(ParseListenAddress("tcp:host:70000", &addr, &error));
   EXPECT_FALSE(error.empty());
-}
-
-// -- HashRing ----------------------------------------------------------------
-
-TEST(HashRingTest, OwnerIsStableAndInRange) {
-  HashRing ring(4);
-  for (int i = 0; i < 1000; ++i) {
-    const std::string key = "concept-" + std::to_string(i);
-    const uint32_t owner = ring.OwnerOf(key);
-    EXPECT_LT(owner, 4u);
-    EXPECT_EQ(owner, ring.OwnerOf(key));  // Deterministic.
-  }
-}
-
-TEST(HashRingTest, IdenticalAcrossInstances) {
-  // The whole point of not using std::hash: two rings built in different
-  // "processes" (here: instances) must agree on every key.
-  HashRing a(8), b(8);
-  for (int i = 0; i < 2000; ++i) {
-    const std::string key = "k" + std::to_string(i * 7919);
-    EXPECT_EQ(a.OwnerOf(key), b.OwnerOf(key));
-  }
-}
-
-TEST(HashRingTest, ReasonableBalance) {
-  HashRing ring(4, 64);
-  std::vector<int> counts(4, 0);
-  const int kKeys = 20000;
-  for (int i = 0; i < kKeys; ++i) {
-    counts[ring.OwnerOf("instance name " + std::to_string(i))]++;
-  }
-  for (int c : counts) {
-    // Each shard should get 25% ± a generous consistent-hashing tolerance.
-    EXPECT_GT(c, kKeys / 8) << "shard starved";
-    EXPECT_LT(c, kKeys / 2) << "shard overloaded";
-  }
-}
-
-TEST(HashRingTest, ChurnMovesOnlyAFraction) {
-  HashRing four(4, 64), five(5, 64);
-  const int kKeys = 10000;
-  int moved = 0;
-  for (int i = 0; i < kKeys; ++i) {
-    const std::string key = "key-" + std::to_string(i);
-    if (four.OwnerOf(key) != five.OwnerOf(key)) moved++;
-  }
-  // Consistent hashing: adding a 5th shard should move about 1/5 of keys,
-  // nowhere near the ~4/5 a modulo scheme would reshuffle.
-  EXPECT_LT(moved, kKeys / 2);
-  EXPECT_GT(moved, 0);
-}
-
-TEST(HashRingTest, SingleShardOwnsEverything) {
-  HashRing ring(1);
-  EXPECT_EQ(ring.OwnerOf(""), 0u);
-  EXPECT_EQ(ring.OwnerOf("anything"), 0u);
 }
 
 }  // namespace

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -67,9 +73,7 @@ SnapshotReader* NetServerTest::reader_ = nullptr;
 std::vector<std::string>* NetServerTest::workload_ = nullptr;
 
 TEST_F(NetServerTest, RoundTripsAreByteIdenticalToDirectEngine) {
-  RouterOptions router_options;
-  router_options.num_shards = 2;
-  ShardRouter router(reader_, router_options);
+  ShardRouter router(reader_, RouterOptions{});
   NetServer server(&router);
   ASSERT_TRUE(server.Start().ok());
 
@@ -84,31 +88,39 @@ TEST_F(NetServerTest, RoundTripsAreByteIdenticalToDirectEngine) {
 }
 
 TEST_F(NetServerTest, PipelinedResponsesComeBackInRequestOrder) {
-  RouterOptions router_options;
-  router_options.num_shards = 4;  // Shards complete out of order...
-  ShardRouter router(reader_, router_options);
+  ShardRouter router(reader_, RouterOptions{});
   NetServer server(&router);
   ASSERT_TRUE(server.Start().ok());
 
+  // Interleaved `stats` lines are answered inline, ahead of the queries
+  // queued before them; the connection's reorder buffer must restore
+  // request order.
+  std::vector<std::string> pipeline;
+  for (size_t i = 0; i < workload_->size(); ++i) {
+    pipeline.push_back((*workload_)[i]);
+    if (i % 3 == 0) pipeline.push_back("stats");
+  }
   auto client = LineClient::Connect(server.endpoint());
   ASSERT_TRUE(client.ok());
-  // ...but the connection's reorder buffer must restore request order.
+  QueryEngine direct(reader_);
   for (int round = 0; round < 3; ++round) {
-    for (const std::string& line : *workload_) {
+    for (const std::string& line : pipeline) {
       ASSERT_TRUE(client->SendLine(line).ok());
     }
-    QueryEngine direct(reader_);
-    for (const std::string& line : *workload_) {
+    for (const std::string& line : pipeline) {
       auto response = client->ReadLine();
       ASSERT_TRUE(response.ok()) << response.status().ToString();
-      EXPECT_EQ(*response, direct.Answer(line)) << line;
+      if (line == "stats") {
+        EXPECT_EQ(response->rfind("OK\tstats", 0), 0u) << *response;
+      } else {
+        EXPECT_EQ(*response, direct.Answer(line)) << line;
+      }
     }
   }
 }
 
 TEST_F(NetServerTest, OversizedLineAnsweredInSlotWithoutDesync) {
-  RouterOptions router_options;
-  ShardRouter router(reader_, router_options);
+  ShardRouter router(reader_, RouterOptions{});
   NetServerOptions options;
   options.max_line_bytes = 64;
   NetServer server(&router, options);
@@ -130,8 +142,7 @@ TEST_F(NetServerTest, OversizedLineAnsweredInSlotWithoutDesync) {
 }
 
 TEST_F(NetServerTest, TrailingUnterminatedLineStillAnswered) {
-  RouterOptions router_options;
-  ShardRouter router(reader_, router_options);
+  ShardRouter router(reader_, RouterOptions{});
   NetServer server(&router);
   ASSERT_TRUE(server.Start().ok());
   auto client = LineClient::Connect(server.endpoint());
@@ -151,9 +162,7 @@ TEST_F(NetServerTest, TrailingUnterminatedLineStillAnswered) {
 }
 
 TEST_F(NetServerTest, AbruptDisconnectMidResponseIsContained) {
-  RouterOptions router_options;
-  router_options.num_shards = 2;
-  ShardRouter router(reader_, router_options);
+  ShardRouter router(reader_, RouterOptions{});
   NetServer server(&router);
   ASSERT_TRUE(server.Start().ok());
 
@@ -183,8 +192,7 @@ TEST_F(NetServerTest, AbruptDisconnectMidResponseIsContained) {
 }
 
 TEST_F(NetServerTest, BackpressurePausesReadsWithoutLosingOrder) {
-  RouterOptions router_options;
-  ShardRouter router(reader_, router_options);
+  ShardRouter router(reader_, RouterOptions{});
   NetServerOptions options;
   options.max_inflight_per_conn = 4;  // Tiny: force pauses quickly.
   NetServer server(&router, options);
@@ -211,7 +219,6 @@ TEST_F(NetServerTest, BackpressurePausesReadsWithoutLosingOrder) {
 
 TEST_F(NetServerTest, ShedsWithOverloadedUnderAdmissionLadder) {
   RouterOptions router_options;
-  router_options.num_shards = 1;  // One queue: the park recipe is exact.
   router_options.batch.start_paused = true;
   router_options.batch.deadline_budget_ms = 10;
   router_options.batch.overload_window_ms = 10000;  // Hold the level for the test.
@@ -222,14 +229,14 @@ TEST_F(NetServerTest, ShedsWithOverloadedUnderAdmissionLadder) {
 
   auto client = LineClient::Connect(server.endpoint());
   ASSERT_TRUE(client.ok());
-  // Park pipelined requests behind the paused shard dispatcher for well over
+  // Park pipelined requests behind the paused dispatcher for well over
   // the budget, then release: their recorded waits push p99 past the
   // full-budget rung, engaging shed level 2.
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(client->SendLine((*workload_)[i % workload_->size()]).ok());
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  router.ResumeAll();
+  router.Resume();
   for (int i = 0; i < 8; ++i) {
     auto response = client->ReadLine();
     ASSERT_TRUE(response.ok());
@@ -241,6 +248,52 @@ TEST_F(NetServerTest, ShedsWithOverloadedUnderAdmissionLadder) {
   ASSERT_TRUE(shed.ok());
   EXPECT_EQ(*shed,
             "OVERLOADED\tqueue-wait p99 over deadline budget; request shed");
+}
+
+TEST_F(NetServerTest, UnixListenPathReplacesOnlyASocket) {
+  const std::string dir = ::testing::TempDir() + "/net_listen_path";
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  std::filesystem::create_directories(dir, ec);
+  ShardRouter router(reader_, RouterOptions{});
+
+  // A regular file at the listen path is someone's data: Start() must fail
+  // naming the path and leave the file exactly as it was.
+  const std::string file_path = dir + "/precious.txt";
+  {
+    std::ofstream out(file_path);
+    out << "keep me\n";
+  }
+  NetServerOptions options;
+  options.listen = "unix:" + file_path;
+  NetServer refused(&router, options);
+  const Status started = refused.Start();
+  EXPECT_EQ(started.code(), Status::Code::kIOError) << started.ToString();
+  EXPECT_NE(started.message().find(file_path), std::string::npos)
+      << started.ToString();
+  std::ifstream in(file_path);
+  std::string content;
+  std::getline(in, content);
+  EXPECT_EQ(content, "keep me");
+
+  // A socket file left behind by a dead server is replaced.
+  const std::string sock_path = dir + "/stale.sock";
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un sun{};
+  sun.sun_family = AF_UNIX;
+  std::memcpy(sun.sun_path, sock_path.c_str(), sock_path.size() + 1);
+  ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&sun), sizeof(sun)), 0);
+  ::close(fd);
+  ASSERT_TRUE(std::filesystem::is_socket(sock_path));
+  options.listen = "unix:" + sock_path;
+  NetServer server(&router, options);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = LineClient::Connect(server.endpoint());
+  ASSERT_TRUE(client.ok());
+  auto stats = client->RoundTrip("stats");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->rfind("OK\tstats", 0), 0u);
 }
 
 TEST_F(NetServerTest, EightClientSoakSurvivesHotSwapMidLoad) {
@@ -256,9 +309,7 @@ TEST_F(NetServerTest, EightClientSoakSurvivesHotSwapMidLoad) {
   SnapshotManager manager(manager_options);
   ASSERT_TRUE(manager.LoadInitial().ok());
 
-  RouterOptions router_options;
-  router_options.num_shards = 4;
-  ShardRouter router(&manager, router_options);
+  ShardRouter router(&manager, RouterOptions{});
   NetServer server(&router);
   ASSERT_TRUE(server.Start().ok());
 
@@ -315,7 +366,6 @@ TEST_F(NetServerTest, EightClientSoakSurvivesHotSwapMidLoad) {
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(checked.load(), 100u);
-  EXPECT_EQ(router.Snapshot().fanout_mismatch, 0u);
   EXPECT_EQ(manager.generation(), 5u);
 }
 

@@ -16,7 +16,7 @@
 #                                     ASan+UBSan against its recorded envelope
 #   tools/check.sh --net [jobs]       network soak under ASan: bench_serve's
 #                                     multi-process socket phase (8 client
-#                                     processes against shard counts 1/2/4)
+#                                     processes against one server)
 #                                     plus the 8-client server test, gating
 #                                     zero non-OK responses over the wire
 #   tools/check.sh --stream [jobs]    streaming gate: the incremental-vs-batch
@@ -151,7 +151,7 @@ if [[ "$MODE" == "net" ]]; then
   # The in-process suite covers the corners a clean bench run cannot reach:
   # abrupt disconnects, oversized lines, backpressure, shed, hot swap mid-load.
   build-asan/tests/net_server_test
-  echo "OK: socket serving held under ASan across shard counts 1/2/4"
+  echo "OK: socket serving held under ASan"
   exit 0
 fi
 

@@ -53,7 +53,7 @@
 //                  [--mmap] [--cache N] [--cache-shards N]
 //                  [--max-batch N] [--max-wait-ms N] [--deadline-ms N]
 //                  [--deadline-budget-ms N] [--stats-interval-ms N]
-//                  [--listen tcp:host:port|unix:/path [--shards N]]
+//                  [--listen tcp:host:port|unix:/path]
 //       Load a serving snapshot and answer line-protocol queries on
 //       stdin/stdout (instances-of, concepts-of, is-a, drift-score, mutex,
 //       stats, metrics; `quit` exits). Requests are coalesced into batches
@@ -72,10 +72,11 @@
 //       start; corrupt sections fail only the verbs that touch them).
 //       --listen serves the same protocol on a TCP or unix socket instead
 //       of stdin/stdout (epoll front-end, pipelining with responses in
-//       request order); --shards N partitions the concept space over N
-//       workers by consistent hash, byte-identical answers at any shard
-//       count, with `stats` merged across shards. SIGINT/SIGTERM shut the
-//       socket server down cleanly.
+//       request order). Both front-ends submit through the same router:
+//       one batcher over one engine (the manager's per-generation engine
+//       with --publish-dir). SIGINT/SIGTERM shut the socket server down
+//       cleanly; a --listen unix path holding anything but a socket is
+//       refused, never deleted.
 //   semdrift query (--snapshot s.bin [--mmap] | --connect EP) <verb> <args...>
 //       One-shot: answer a single query and exit. --snapshot opens the
 //       file directly; --connect round-trips the query to a serve --listen
@@ -251,6 +252,7 @@ int Usage() {
       "               [--cache N] [--cache-shards N]\n"
       "               [--max-batch N] [--max-wait-ms N] [--deadline-ms N]\n"
       "               [--deadline-budget-ms N] [--stats-interval-ms N]\n"
+      "               [--mmap] [--listen tcp:host:port|unix:/path]\n"
       "  semdrift query --snapshot S <verb> <args...>\n"
       "               (exit: 0 OK, 1 ERR, 2 usage, 3 NOT_FOUND, 4 OVERLOADED)\n"
       "  semdrift snapshot-verify <base> [delta...]\n"
@@ -721,29 +723,56 @@ Result<SnapshotReader> OpenSnapshotOrDie(const std::string& path,
   return SnapshotReader::Open(path, options);
 }
 
-/// The serve loop proper, shared by single-snapshot and hot-swap modes:
-/// stdin feeds the batcher, a printer thread emits responses in request
-/// order, and an optional stats thread snapshots to stderr.
-int ServeLoop(Batcher& batcher, const std::function<std::string()>& format_stats,
-              uint64_t stats_interval_ms) {
-  // Optional periodic stats snapshots on stderr (stdout stays pure protocol).
-  std::mutex stats_mu;
-  std::condition_variable stats_cv;
-  bool stats_stop = false;
-  std::thread stats_thread;
-  if (stats_interval_ms > 0) {
-    stats_thread = std::thread([&] {
-      std::unique_lock<std::mutex> lock(stats_mu);
-      while (!stats_cv.wait_for(lock, std::chrono::milliseconds(stats_interval_ms),
-                                [&] { return stats_stop; })) {
-        std::fprintf(stderr, "%s\n", format_stats().c_str());
+/// Submits one line through the router; the future yields its response.
+std::future<std::string> SubmitLine(ShardRouter& router, std::string line,
+                                    RequestPriority priority) {
+  auto promise = std::make_shared<std::promise<std::string>>();
+  std::future<std::string> response = promise->get_future();
+  router.Submit(std::move(line), priority, [promise](std::string r) {
+    promise->set_value(std::move(r));
+  });
+  return response;
+}
+
+/// Prints the router's `stats` line to stderr every `interval_ms` while alive
+/// (0: never). Both serve front-ends use it, so the periodic line is exactly
+/// what a client's own `stats` request would read. stdout stays pure protocol.
+class StatsTicker {
+ public:
+  StatsTicker(ShardRouter* router, uint64_t interval_ms) {
+    if (interval_ms == 0) return;
+    thread_ = std::thread([this, router, interval_ms] {
+      std::unique_lock<std::mutex> lock(mu_);
+      while (!cv_.wait_for(lock, std::chrono::milliseconds(interval_ms),
+                           [this] { return stop_; })) {
+        const std::string stats =
+            SubmitLine(*router, "stats", RequestPriority::kHigh).get();
+        std::fprintf(stderr, "%s\n", stats.c_str());
       }
     });
   }
+  ~StatsTicker() {
+    if (!thread_.joinable()) return;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
 
-  // Reader/printer split: stdin keeps feeding the batcher while earlier
-  // requests execute (that concurrency is what makes batches form), and a
-  // printer thread emits responses strictly in request order.
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool stop_ = false;
+  std::thread thread_;
+};
+
+/// The stdin front-end: stdin keeps feeding the router while earlier
+/// requests execute (that concurrency is what makes batches form), and a
+/// printer thread emits responses strictly in request order.
+int ServeLoop(ShardRouter& router) {
+  std::fprintf(stderr, "reading requests on stdin; ready\n");
   std::mutex mu;
   std::condition_variable cv;
   std::deque<std::future<std::string>> pending;
@@ -768,7 +797,8 @@ int ServeLoop(Batcher& batcher, const std::function<std::string()>& format_stats
   while (std::getline(std::cin, line)) {
     if (line == "quit" || line == "exit") break;
     if (line.empty()) continue;
-    std::future<std::string> response = batcher.Submit(line);
+    std::future<std::string> response =
+        SubmitLine(router, std::move(line), RequestPriority::kNormal);
     {
       std::lock_guard<std::mutex> lock(mu);
       pending.push_back(std::move(response));
@@ -781,14 +811,6 @@ int ServeLoop(Batcher& batcher, const std::function<std::string()>& format_stats
   }
   cv.notify_all();
   printer.join();
-  if (stats_thread.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu);
-      stats_stop = true;
-    }
-    stats_cv.notify_all();
-    stats_thread.join();
-  }
   return 0;
 }
 
@@ -803,10 +825,10 @@ extern "C" void HandleShutdownSignal(int) {
   [[maybe_unused]] ssize_t n = ::write(g_shutdown_pipe[1], &byte, 1);
 }
 
-/// Runs the network front-end until SIGINT/SIGTERM. Prints the resolved
-/// endpoint to stderr (port 0 means "pick one", so scripts need the answer).
-int RunNetServer(ShardRouter& router, const std::string& listen,
-                 uint64_t stats_interval_ms) {
+/// The socket front-end: runs a NetServer over the router until
+/// SIGINT/SIGTERM. Prints the resolved endpoint to stderr (port 0 means
+/// "pick one", so scripts need the answer).
+int RunNetServer(ShardRouter& router, const std::string& listen) {
   NetServerOptions server_options;
   server_options.listen = listen;
   NetServer server(&router, server_options);
@@ -823,22 +845,11 @@ int RunNetServer(ShardRouter& router, const std::string& listen,
   sigemptyset(&sa.sa_mask);
   ::sigaction(SIGINT, &sa, nullptr);
   ::sigaction(SIGTERM, &sa, nullptr);
-  std::fprintf(stderr, "listening on %s; %u shards; ready\n",
-               server.endpoint().c_str(), router.num_shards());
+  std::fprintf(stderr, "listening on %s; ready\n", server.endpoint().c_str());
 
-  const int timeout_ms =
-      stats_interval_ms > 0 ? static_cast<int>(stats_interval_ms) : -1;
-  for (;;) {
-    pollfd pfd{g_shutdown_pipe[0], POLLIN, 0};
-    const int n = ::poll(&pfd, 1, timeout_ms);
-    if (n < 0 && errno == EINTR) continue;
-    if (n > 0) break;  // Signal arrived (or the pipe broke; either way: out).
-    // Timeout: periodic stats snapshot, answered through the router's own
-    // `stats` path so the line matches what a socket client would see.
-    std::promise<std::string> stats;
-    router.Submit("stats", RequestPriority::kHigh,
-                  [&stats](std::string r) { stats.set_value(std::move(r)); });
-    std::fprintf(stderr, "%s\n", stats.get_future().get().c_str());
+  pollfd pfd{g_shutdown_pipe[0], POLLIN, 0};
+  // Any return but EINTR means the signal arrived or the pipe broke: out.
+  while (::poll(&pfd, 1, -1) < 0 && errno == EINTR) {
   }
   server.Stop();
   ::close(g_shutdown_pipe[0]);
@@ -847,16 +858,13 @@ int RunNetServer(ShardRouter& router, const std::string& listen,
   return 0;
 }
 
-/// `serve --listen`: socket front-end over the sharded router instead of the
-/// stdin/stdout loop. Shares the snapshot/publish-dir/admission flags with
-/// the stdin mode; adds --shards (worker count) and --mmap (zero-copy
-/// snapshot load).
-int ServeNet(const Flags& flags) {
+/// `serve`: one setup for both front-ends. The snapshot (or the publish
+/// directory's SnapshotManager) is opened once and served through one
+/// router; --listen hands the router to the socket server, otherwise stdin
+/// feeds it.
+int Serve(const Flags& flags) {
   ApplyThreadsFlag(flags);
   RouterOptions router_options;
-  router_options.num_shards =
-      static_cast<uint32_t>(flags.GetUint("shards", 1));
-  if (router_options.num_shards == 0) router_options.num_shards = 1;
   router_options.engine.cache_capacity = flags.GetUint("cache", 4096);
   router_options.engine.cache_shards = flags.GetUint("cache-shards", 16);
   router_options.batch.max_batch = flags.GetUint("max-batch", 64);
@@ -868,105 +876,64 @@ int ServeNet(const Flags& flags) {
       static_cast<int>(flags.GetUint("deadline-budget-ms", 0));
   const uint64_t stats_interval_ms = flags.GetUint("stats-interval-ms", 0);
   const std::string listen = flags.Get("listen", "");
-  // A malformed address is a usage error (exit 2), same as any bad flag
-  // value — not a runtime serving failure.
-  ListenAddress parsed_listen;
-  std::string listen_error;
-  if (!ParseListenAddress(listen, &parsed_listen, &listen_error)) {
-    std::fprintf(stderr, "--listen: %s\n", listen_error.c_str());
-    return 2;
+  if (!listen.empty()) {
+    // A malformed address is a usage error (exit 2), same as any bad flag
+    // value — not a runtime serving failure.
+    ListenAddress parsed_listen;
+    std::string listen_error;
+    if (!ParseListenAddress(listen, &parsed_listen, &listen_error)) {
+      std::fprintf(stderr, "--listen: %s\n", listen_error.c_str());
+      return 2;
+    }
   }
 
-  std::string publish_dir = flags.Get("publish-dir", "");
+  // Declared before the router so they outlive its shutdown drain, which
+  // still resolves engines.
+  std::unique_ptr<SnapshotManager> manager;
+  std::unique_ptr<SnapshotReader> reader;
+  std::unique_ptr<ShardRouter> router;
+  const std::string publish_dir = flags.Get("publish-dir", "");
   if (!publish_dir.empty()) {
+    // Hot-swap mode: the manager watches the publish directory and flips
+    // generations atomically; the router pins one generation per batch.
     SnapshotManagerOptions manager_options;
     manager_options.dir = publish_dir;
     manager_options.engine = router_options.engine;
-    SnapshotManager manager(manager_options);
-    if (Status initial = manager.LoadInitial(); !initial.ok()) {
+    manager = std::make_unique<SnapshotManager>(manager_options);
+    if (Status initial = manager->LoadInitial(); !initial.ok()) {
       std::fprintf(stderr, "%s\n", initial.ToString().c_str());
       return 1;
     }
-    ShardRouter router(&manager, router_options);
-    manager.StartWatching(flags.GetUint("poll-ms", 200));
-    const int rc = RunNetServer(router, listen, stats_interval_ms);
-    manager.StopWatching();
-    return rc;
-  }
-
-  auto reader = OpenSnapshotOrDie(flags.Get("snapshot", ""), flags.Has("mmap"));
-  if (!reader.ok()) {
-    std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
-    return 1;
-  }
-  ShardRouter router(&*reader, router_options);
-  return RunNetServer(router, listen, stats_interval_ms);
-}
-
-int Serve(const Flags& flags) {
-  if (!flags.Get("listen", "").empty()) return ServeNet(flags);
-  ApplyThreadsFlag(flags);
-  QueryEngineOptions engine_options;
-  engine_options.cache_capacity = flags.GetUint("cache", 4096);
-  engine_options.cache_shards = flags.GetUint("cache-shards", 16);
-  BatcherOptions batch_options;
-  batch_options.max_batch = flags.GetUint("max-batch", 64);
-  batch_options.max_wait_ms = static_cast<int>(flags.GetUint("max-wait-ms", 1));
-  batch_options.default_deadline_ms =
-      static_cast<int>(flags.GetUint("deadline-ms", 1000));
-  batch_options.deadline_budget_ms =
-      static_cast<int>(flags.GetUint("deadline-budget-ms", 0));
-  uint64_t stats_interval_ms = flags.GetUint("stats-interval-ms", 0);
-
-  std::string publish_dir = flags.Get("publish-dir", "");
-  if (!publish_dir.empty()) {
-    // Hot-swap mode: a SnapshotManager watches the publish directory and
-    // flips generations atomically; the batcher pins one generation per
-    // batch. The manager is declared before the batcher so it outlives the
-    // batcher's shutdown drain (which still resolves pins).
-    SnapshotManagerOptions manager_options;
-    manager_options.dir = publish_dir;
-    manager_options.engine = engine_options;
-    SnapshotManager manager(manager_options);
-    Status initial = manager.LoadInitial();
-    if (!initial.ok()) {
-      std::fprintf(stderr, "%s\n", initial.ToString().c_str());
+    router = std::make_unique<ShardRouter>(manager.get(), router_options);
+    manager->StartWatching(flags.GetUint("poll-ms", 200));
+    const auto current = manager->Current();
+    std::fprintf(stderr,
+                 "serving generation %llu: %u concepts, %u instances, "
+                 "%llu pairs; watching %s\n",
+                 static_cast<unsigned long long>(current->generation),
+                 current->reader.num_concepts(), current->reader.num_instances(),
+                 static_cast<unsigned long long>(current->reader.num_pairs()),
+                 publish_dir.c_str());
+  } else {
+    auto opened = OpenSnapshotOrDie(flags.Get("snapshot", ""), flags.Has("mmap"));
+    if (!opened.ok()) {
+      std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
       return 1;
     }
-    Batcher batcher(EngineSource([&manager] { return manager.Pin(); }),
-                    batch_options);
-    uint64_t poll_ms = flags.GetUint("poll-ms", 200);
-    manager.StartWatching(poll_ms);
-    {
-      auto current = manager.Current();
-      std::fprintf(stderr,
-                   "serving generation %llu: %u concepts, %u instances, "
-                   "%llu pairs; watching %s; ready\n",
-                   static_cast<unsigned long long>(current->generation),
-                   current->reader.num_concepts(), current->reader.num_instances(),
-                   static_cast<unsigned long long>(current->reader.num_pairs()),
-                   publish_dir.c_str());
-    }
-    int rc = ServeLoop(
-        batcher,
-        [&manager] { return manager.Current()->engine->FormatStats(); },
-        stats_interval_ms);
-    manager.StopWatching();
-    return rc;
+    reader = std::make_unique<SnapshotReader>(std::move(*opened));
+    router = std::make_unique<ShardRouter>(reader.get(), router_options);
+    std::fprintf(stderr, "serving %u concepts, %u instances, %llu pairs\n",
+                 reader->num_concepts(), reader->num_instances(),
+                 static_cast<unsigned long long>(reader->num_pairs()));
   }
 
-  auto reader = OpenSnapshotOrDie(flags.Get("snapshot", ""), flags.Has("mmap"));
-  if (!reader.ok()) {
-    std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
-    return 1;
+  int rc = 0;
+  {
+    StatsTicker ticker(router.get(), stats_interval_ms);
+    rc = listen.empty() ? ServeLoop(*router) : RunNetServer(*router, listen);
   }
-  QueryEngine engine(&*reader, engine_options);
-  Batcher batcher(&engine, batch_options);
-  std::fprintf(stderr, "serving %u concepts, %u instances, %llu pairs; ready\n",
-               reader->num_concepts(), reader->num_instances(),
-               static_cast<unsigned long long>(reader->num_pairs()));
-  return ServeLoop(batcher, [&engine] { return engine.FormatStats(); },
-                   stats_interval_ms);
+  if (manager != nullptr) manager->StopWatching();
+  return rc;
 }
 
 /// One-shot query. Positional arguments become protocol fields (joined with
@@ -1527,7 +1494,7 @@ int main(int argc, char** argv) {
     Flags flags(argc, argv, 2,
                 {"snapshot", "publish-dir", "poll-ms", "cache", "cache-shards",
                  "max-batch", "max-wait-ms", "deadline-ms", "deadline-budget-ms",
-                 "stats-interval-ms", "threads", "listen", "shards"},
+                 "stats-interval-ms", "threads", "listen"},
                 {"mmap"});
     if (!flags.ok()) {
       std::fprintf(stderr, "%s\n", flags.error().c_str());
