@@ -1,31 +1,25 @@
 // Timing harness for the parallel per-concept pipeline (BENCH_pipeline.json).
 //
-// Measures each parallelized stage three ways over one extracted KB:
+// Measures each parallelized stage two ways over one extracted KB:
 //
-//   baseline — the pre-flattening implementations (unordered_map edge
-//              accumulator graph build, edge-copying walk, per-instance
-//              core-vector rebuild in F1, SubInstancesOf computed twice per
-//              Extract, serial single-stream forest fit, serial mutex
-//              build), reimplemented here verbatim so the bench keeps
-//              measuring the old cost after the library moved on;
-//   serial   — the current implementation at --threads 1;
-//   parallel — the current implementation at --threads N (default 4).
+//   serial   — --threads 1;
+//   parallel — --threads N (default 4).
 //
 // Besides wall times it verifies the determinism contract: serial and
-// parallel outputs must be bit-identical (exact ==, no tolerance), and the
-// flattened implementations must reproduce the baseline's values. The JSON
-// report lands in --out (default BENCH_pipeline.json).
+// parallel outputs must be bit-identical (exact ==, no tolerance); any
+// mismatch exits 1. (Agreement with the implementations these stages
+// replaced is pinned as golden digests in parallel_determinism_test.) The
+// JSON report lands in --out (default BENCH_pipeline.json) and records the
+// machine's core count next to the requested thread count.
 //
 //   bench_pipeline [--scale 0.3] [--threads 4] [--repeat 3]
 //                  [--out BENCH_pipeline.json]
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <numeric>
+#include <cstdlib>
 #include <string>
-#include <unordered_map>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "dp/detector.h"
@@ -44,268 +38,8 @@ using namespace semdrift;
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Baseline (pre-flattening) implementations, kept bit-compatible with the
-// originals so their outputs double as a correctness oracle.
-// ---------------------------------------------------------------------------
-
-using LegacyEdges = std::vector<std::vector<std::pair<uint32_t, double>>>;
-
-struct LegacyGraph {
-  std::vector<InstanceId> nodes;
-  std::unordered_map<InstanceId, size_t> index;
-  LegacyEdges out_edges;
-  std::vector<double> root_weights;
-};
-
-/// The old ConceptGraph::Build: accumulate edge weights in an unordered_map
-/// keyed by packed (from, to), then scatter into sorted adjacency lists.
-LegacyGraph LegacyBuildGraph(const KnowledgeBase& kb, ConceptId c) {
-  LegacyGraph graph;
-  for (InstanceId e : kb.InstancesEverOf(c)) {
-    IsAPair pair{c, e};
-    int count = kb.Count(pair);
-    if (count <= 0) continue;
-    graph.index.emplace(e, graph.nodes.size());
-    graph.nodes.push_back(e);
-    graph.root_weights.push_back(static_cast<double>(kb.Iter1Count(pair)));
-  }
-  graph.out_edges.resize(graph.nodes.size());
-  std::unordered_map<uint64_t, double> edge_weights;
-  kb.ForEachLiveRecordOfConcept(c, [&](const ExtractionRecord& record) {
-    for (InstanceId t : record.triggers) {
-      auto ti = graph.index.find(t);
-      if (ti == graph.index.end()) continue;
-      for (InstanceId e : record.instances) {
-        if (e == t) continue;
-        auto ei = graph.index.find(e);
-        if (ei == graph.index.end()) continue;
-        uint64_t key = (static_cast<uint64_t>(ti->second) << 32) |
-                       static_cast<uint64_t>(ei->second);
-        edge_weights[key] += 1.0;
-      }
-    }
-  });
-  for (const auto& [key, weight] : edge_weights) {
-    uint32_t from = static_cast<uint32_t>(key >> 32);
-    uint32_t to = static_cast<uint32_t>(key & 0xffffffffu);
-    graph.out_edges[from].emplace_back(to, weight);
-  }
-  for (auto& edges : graph.out_edges) std::sort(edges.begin(), edges.end());
-  return graph;
-}
-
-/// The old TeleportingWalk over vector-of-vectors adjacency.
-std::vector<double> LegacyWalk(const LegacyEdges& out_edges,
-                               const std::vector<double>& restart,
-                               const WalkParams& params) {
-  size_t n = out_edges.size();
-  std::vector<double> out_degree(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    for (const auto& [to, w] : out_edges[i]) {
-      (void)to;
-      out_degree[i] += w;
-    }
-  }
-  std::vector<double> p = restart;
-  std::vector<double> next(n, 0.0);
-  for (int iter = 0; iter < params.max_iterations; ++iter) {
-    std::fill(next.begin(), next.end(), 0.0);
-    double dangling = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      if (p[i] == 0.0) continue;
-      if (out_degree[i] <= 0.0) {
-        dangling += p[i];
-        continue;
-      }
-      double share = p[i] / out_degree[i];
-      for (const auto& [to, w] : out_edges[i]) next[to] += share * w;
-    }
-    double l1 = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      double value = (1.0 - params.teleport) * (next[i] + dangling * restart[i]) +
-                     params.teleport * restart[i];
-      l1 += std::abs(value - p[i]);
-      next[i] = value;
-    }
-    p.swap(next);
-    if (l1 < params.tolerance) break;
-  }
-  return p;
-}
-
-std::unordered_map<InstanceId, double> LegacyScoreConcept(const KnowledgeBase& kb,
-                                                          ConceptId c) {
-  WalkParams params;
-  LegacyGraph graph = LegacyBuildGraph(kb, c);
-  std::vector<double> restart = graph.root_weights;
-  double total = std::accumulate(restart.begin(), restart.end(), 0.0);
-  if (total <= 0.0) {
-    restart.assign(graph.nodes.size(),
-                   graph.nodes.empty() ? 0.0 : 1.0 / graph.nodes.size());
-  } else {
-    for (double& w : restart) w /= total;
-  }
-  std::vector<double> scores = LegacyWalk(graph.out_edges, restart, params);
-  std::unordered_map<InstanceId, double> out;
-  out.reserve(scores.size());
-  for (size_t i = 0; i < scores.size(); ++i) out.emplace(graph.nodes[i], scores[i]);
-  return out;
-}
-
-using LegacyScoreMap =
-    std::unordered_map<uint32_t, std::unordered_map<InstanceId, double>>;
-
-/// The old FeatureExtractor::Extract: rebuilds the concept's core vector
-/// inside F1 for every instance and computes SubInstancesOf twice.
-FeatureVector LegacyExtract(const KnowledgeBase& kb, const MutexIndex& mutex,
-                            const LegacyScoreMap& scores, ConceptId c,
-                            InstanceId e) {
-  const auto& concept_scores = scores.at(c.value);
-  auto score_of = [&](InstanceId x) {
-    auto it = concept_scores.find(x);
-    return it == concept_scores.end() ? 0.0 : it->second;
-  };
-  FeatureVector features{};
-  {
-    std::unordered_map<InstanceId, int> sub = kb.SubInstancesOf(IsAPair{c, e});
-    if (!sub.empty()) {
-      std::unordered_map<InstanceId, int> core;
-      for (const auto& [instance, count] : kb.Iter1InstancesOf(c)) {
-        core.emplace(instance, count);
-      }
-      features[0] = SparseCosine(sub, core);
-    }
-  }
-  features[1] = static_cast<double>(mutex.F2Count(c, e));
-  double scale = static_cast<double>(concept_scores.size());
-  if (scale <= 0.0) scale = 1.0;
-  features[2] = score_of(e) * scale;
-  std::unordered_map<InstanceId, int> sub = kb.SubInstancesOf(IsAPair{c, e});
-  if (!sub.empty()) {
-    double total = 0.0;
-    for (const auto& [instance, count] : sub) {
-      (void)count;
-      total += score_of(instance) * scale;
-    }
-    features[3] = total / static_cast<double>(sub.size());
-  }
-  return features;
-}
-
-TrainingData LegacyCollect(const KnowledgeBase& kb, const MutexIndex& mutex,
-                           const LegacyScoreMap& scores, const SeedLabeler& seeds,
-                           const std::vector<ConceptId>& concepts) {
-  TrainingData data;
-  data.reserve(concepts.size());
-  for (ConceptId c : concepts) {
-    ConceptTrainingData entry;
-    entry.concept_id = c;
-    for (InstanceId e : kb.LiveInstancesOf(c)) {
-      entry.instances.push_back(e);
-      entry.features.push_back(LegacyExtract(kb, mutex, scores, c, e));
-      entry.seed_labels.push_back(seeds.Label(c, e));
-    }
-    if (!entry.instances.empty()) data.push_back(std::move(entry));
-  }
-  return data;
-}
-
-/// The old serial RandomForest::Fit: one RNG stream threaded through every
-/// bootstrap and tree in order.
-std::vector<DecisionTree> LegacyForestFit(const std::vector<std::vector<double>>& x,
-                                          const std::vector<int>& y, int num_classes,
-                                          const RandomForestOptions& options) {
-  std::vector<DecisionTree> trees(options.num_trees);
-  Rng rng(options.seed);
-  std::vector<std::vector<size_t>> by_class(num_classes);
-  if (options.balance_classes) {
-    for (size_t i = 0; i < y.size(); ++i) by_class[y[i]].push_back(i);
-  }
-  std::vector<size_t> bootstrap(x.size());
-  for (auto& tree : trees) {
-    if (options.balance_classes) {
-      std::vector<int> present;
-      for (int k = 0; k < num_classes; ++k) {
-        if (!by_class[k].empty()) present.push_back(k);
-      }
-      for (size_t i = 0; i < x.size(); ++i) {
-        const auto& rows = by_class[present[rng.NextBounded(present.size())]];
-        bootstrap[i] = rows[rng.NextBounded(rows.size())];
-      }
-    } else {
-      for (size_t i = 0; i < x.size(); ++i) {
-        bootstrap[i] = static_cast<size_t>(rng.NextBounded(x.size()));
-      }
-    }
-    tree.Fit(x, y, bootstrap, num_classes, options, &rng);
-  }
-  return trees;
-}
-
-/// The old serial MutexIndex constructor body (inverted index, pairwise
-/// dots in one map, live containment scan). Returns the nonzero similarity
-/// list for the cross-check.
-std::vector<double> LegacyMutexBuild(const KnowledgeBase& kb, size_t num_concepts,
-                                     const MutexParams& params) {
-  auto pair_key = [](uint32_t a, uint32_t b) {
-    uint32_t lo = a < b ? a : b;
-    uint32_t hi = a < b ? b : a;
-    return (static_cast<uint64_t>(lo) << 32) | hi;
-  };
-  std::vector<double> core_norms(num_concepts, 0.0);
-  struct Posting {
-    uint32_t concept_id;
-    double weight;
-  };
-  std::unordered_map<InstanceId, std::vector<Posting>> inverted;
-  for (size_t ci = 0; ci < num_concepts; ++ci) {
-    ConceptId c(static_cast<uint32_t>(ci));
-    double norm_sq = 0.0;
-    int size = 0;
-    for (const auto& [e, count] : kb.Iter1InstancesOf(c)) {
-      double w = static_cast<double>(count);
-      norm_sq += w * w;
-      ++size;
-      inverted[e].push_back(Posting{c.value, w});
-    }
-    if (size >= params.min_core_instances) core_norms[ci] = std::sqrt(norm_sq);
-  }
-  std::unordered_map<uint64_t, double> dots;
-  for (const auto& [e, postings] : inverted) {
-    (void)e;
-    if (postings.size() < 2) continue;
-    for (size_t i = 0; i < postings.size(); ++i) {
-      for (size_t j = i + 1; j < postings.size(); ++j) {
-        dots[pair_key(postings[i].concept_id, postings[j].concept_id)] +=
-            postings[i].weight * postings[j].weight;
-      }
-    }
-  }
-  std::vector<double> sims;
-  for (const auto& [key, dot] : dots) {
-    uint32_t a = static_cast<uint32_t>(key >> 32);
-    uint32_t b = static_cast<uint32_t>(key & 0xffffffffu);
-    if (core_norms[a] <= 0.0 || core_norms[b] <= 0.0) continue;
-    sims.push_back(dot / (core_norms[a] * core_norms[b]));
-  }
-  std::unordered_map<InstanceId, std::vector<ConceptId>> containing;
-  for (size_t ci = 0; ci < num_concepts; ++ci) {
-    ConceptId c(static_cast<uint32_t>(ci));
-    for (InstanceId e : kb.InstancesEverOf(c)) {
-      if (kb.Contains(IsAPair{c, e})) containing[e].push_back(c);
-    }
-  }
-  return sims;
-}
-
-// ---------------------------------------------------------------------------
-// Harness
-// ---------------------------------------------------------------------------
-
 struct StageResult {
   std::string name;
-  double baseline_ms = 0.0;
   double serial_ms = 0.0;
   double parallel_ms = 0.0;
   bool bit_identical = true;  // serial output == parallel output, exactly.
@@ -347,18 +81,18 @@ void WriteJson(const std::string& path, double scale, int threads, int repeat,
   }
   auto emit_stage = [&](const StageResult& s, const char* indent, bool last) {
     std::fprintf(f,
-                 "%s{\"stage\": \"%s\", \"baseline_ms\": %.3f, "
-                 "\"serial_ms\": %.3f, \"parallel_ms\": %.3f, "
-                 "\"speedup_vs_baseline\": %.3f, \"parallel_speedup\": %.3f, "
+                 "%s{\"stage\": \"%s\", \"serial_ms\": %.3f, "
+                 "\"parallel_ms\": %.3f, \"parallel_speedup\": %.3f, "
                  "\"bit_identical\": %s}%s\n",
-                 indent, s.name.c_str(), s.baseline_ms, s.serial_ms, s.parallel_ms,
-                 s.parallel_ms > 0.0 ? s.baseline_ms / s.parallel_ms : 0.0,
+                 indent, s.name.c_str(), s.serial_ms, s.parallel_ms,
                  s.parallel_ms > 0.0 ? s.serial_ms / s.parallel_ms : 0.0,
                  s.bit_identical ? "true" : "false", last ? "" : ",");
   };
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"scale\": %g,\n  \"threads\": %d,\n  \"repeat\": %d,\n",
-               scale, threads, repeat);
+  std::fprintf(f,
+               "  \"scale\": %g,\n  \"threads\": %d,\n  \"nproc\": %u,\n"
+               "  \"repeat\": %d,\n",
+               scale, threads, std::thread::hardware_concurrency(), repeat);
   std::fprintf(f, "  \"stages\": [\n");
   for (size_t i = 0; i < stages.size(); ++i) {
     emit_stage(stages[i], "    ", i + 1 == stages.size());
@@ -433,10 +167,6 @@ int main(int argc, char** argv) {
   // --- Stage: mutex_build -------------------------------------------------
   StageResult mutex_stage;
   mutex_stage.name = "mutex_build";
-  std::vector<double> legacy_sims;
-  mutex_stage.baseline_ms = TimeMs(repeat, [&] {
-    legacy_sims = LegacyMutexBuild(kb, scope.size(), MutexParams{});
-  });
   std::vector<double> serial_sims;
   mutex_stage.serial_ms = TimeMs(repeat, [&] {
     SetGlobalThreadCount(1);
@@ -449,21 +179,12 @@ int main(int argc, char** argv) {
     MutexIndex mutex(kb, scope.size());
     parallel_sims = mutex.NonZeroSimilarities();
   });
-  std::sort(legacy_sims.begin(), legacy_sims.end());
-  std::vector<double> sorted_serial = serial_sims;
-  std::sort(sorted_serial.begin(), sorted_serial.end());
-  mutex_stage.bit_identical =
-      serial_sims == parallel_sims && sorted_serial == legacy_sims;
+  mutex_stage.bit_identical = serial_sims == parallel_sims;
   stages.push_back(mutex_stage);
 
   // --- Stage: score_warmup ------------------------------------------------
   StageResult warm_stage;
   warm_stage.name = "score_warmup";
-  LegacyScoreMap legacy_scores;
-  warm_stage.baseline_ms = TimeMs(repeat, [&] {
-    legacy_scores.clear();
-    for (ConceptId c : scope) legacy_scores.emplace(c.value, LegacyScoreConcept(kb, c));
-  });
   SetGlobalThreadCount(1);
   ScoreCache serial_scores(&kb, RankModel::kRandomWalk);
   warm_stage.serial_ms = TimeMs(1, [&] { serial_scores.Warm(scope); });
@@ -471,8 +192,7 @@ int main(int argc, char** argv) {
   ScoreCache parallel_scores(&kb, RankModel::kRandomWalk);
   warm_stage.parallel_ms = TimeMs(1, [&] { parallel_scores.Warm(scope); });
   for (ConceptId c : scope) {
-    if (serial_scores.Concept(c) != parallel_scores.Concept(c) ||
-        serial_scores.Concept(c) != legacy_scores.at(c.value)) {
+    if (serial_scores.Concept(c) != parallel_scores.Concept(c)) {
       warm_stage.bit_identical = false;
       break;
     }
@@ -485,10 +205,6 @@ int main(int argc, char** argv) {
   SetGlobalThreadCount(1);
   MutexIndex mutex(kb, scope.size());
   SeedLabeler seeds(&kb, &mutex, [](const IsAPair&) { return false; });
-  TrainingData legacy_data;
-  collect_stage.baseline_ms = TimeMs(repeat, [&] {
-    legacy_data = LegacyCollect(kb, mutex, legacy_scores, seeds, scope);
-  });
   TrainingData serial_data;
   collect_stage.serial_ms = TimeMs(repeat, [&] {
     SetGlobalThreadCount(1);
@@ -501,8 +217,7 @@ int main(int argc, char** argv) {
     FeatureExtractor features(&kb, &mutex, &parallel_scores);
     parallel_data = CollectTrainingData(kb, &features, seeds, scope);
   });
-  collect_stage.bit_identical = SameTrainingData(serial_data, parallel_data) &&
-                                SameTrainingData(serial_data, legacy_data);
+  collect_stage.bit_identical = SameTrainingData(serial_data, parallel_data);
   stages.push_back(collect_stage);
 
   // --- Stage: forest_fit ---------------------------------------------------
@@ -516,13 +231,7 @@ int main(int argc, char** argv) {
       y.push_back(static_cast<int>(x.size()) % 3);
     }
   }
-  // Baseline: the pre-histogram trainer — exact splits, one serial RNG
-  // stream, re-sorting each feature column at every node. Serial/parallel:
-  // the binned trainer at 1/N threads.
   RandomForestOptions forest_options;
-  forest_stage.baseline_ms = TimeMs(repeat, [&] {
-    LegacyForestFit(x, y, 3, forest_options);
-  });
   auto fit_or_die = [&](RandomForest* forest, const RandomForestOptions& options) {
     Status fit = forest->Fit(x, y, 3, options);
     if (!fit.ok()) {
@@ -573,28 +282,20 @@ int main(int argc, char** argv) {
     std::printf("forest_fit @ %3d bins    %8.1f ms\n", bins, ms);
   }
 
-  // --- Combined detection pipeline (the ISSUE's acceptance metric) --------
+  // --- Combined detection pipeline: score warm-up + collect ---------------
   StageResult combined;
   combined.name = "detection_pipeline";
-  combined.baseline_ms = warm_stage.baseline_ms + collect_stage.baseline_ms;
   combined.serial_ms = warm_stage.serial_ms + collect_stage.serial_ms;
   combined.parallel_ms = warm_stage.parallel_ms + collect_stage.parallel_ms;
   combined.bit_identical = warm_stage.bit_identical && collect_stage.bit_identical;
 
-  for (const StageResult& s : stages) {
-    std::printf("%-22s baseline %8.1f ms  serial %8.1f ms  parallel %8.1f ms  "
-                "speedup %5.2fx  %s\n",
-                s.name.c_str(), s.baseline_ms, s.serial_ms, s.parallel_ms,
-                s.parallel_ms > 0.0 ? s.baseline_ms / s.parallel_ms : 0.0,
+  auto print_stage = [](const StageResult& s) {
+    std::printf("%-22s serial %8.1f ms  parallel %8.1f ms  %s\n", s.name.c_str(),
+                s.serial_ms, s.parallel_ms,
                 s.bit_identical ? "bit-identical" : "MISMATCH");
-  }
-  std::printf("%-22s baseline %8.1f ms  serial %8.1f ms  parallel %8.1f ms  "
-              "speedup %5.2fx  %s\n",
-              combined.name.c_str(), combined.baseline_ms, combined.serial_ms,
-              combined.parallel_ms,
-              combined.parallel_ms > 0.0 ? combined.baseline_ms / combined.parallel_ms
-                                         : 0.0,
-              combined.bit_identical ? "bit-identical" : "MISMATCH");
+  };
+  for (const StageResult& s : stages) print_stage(s);
+  print_stage(combined);
 
   WriteJson(out, scale, threads, repeat, stages, combined, forest_thread_sweep,
             forest_bin_sweep);

@@ -56,8 +56,8 @@ Result<BinnedMatrix> BinnedMatrix::Build(const std::vector<std::vector<double>>&
 
     std::vector<double>& cuts = out.cuts_[f];
     if (distinct <= static_cast<size_t>(max_bins)) {
-      // One bin per distinct value: the histogram trainer sees exactly the
-      // thresholds the exact trainer would.
+      // One bin per distinct value: the cuts are exactly the midpoints
+      // between distinct values.
       cuts.reserve(distinct - 1);
       for (size_t i = 1; i < n; ++i) {
         if (sorted[i] != sorted[i - 1]) {

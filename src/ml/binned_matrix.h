@@ -19,8 +19,8 @@ namespace semdrift {
 /// Binning is quantile-style: each feature's cut points are computed from
 /// the full dataset so that bins hold roughly equal row mass. A feature with
 /// at most `max_bins` distinct values gets one bin per distinct value, so on
-/// low-cardinality data the histogram trainer considers exactly the same
-/// thresholds as the exact trainer. Cut points double as the real-valued
+/// low-cardinality data the candidate thresholds are exactly the midpoints
+/// between distinct values. Cut points double as the real-valued
 /// thresholds written into tree nodes: the split "bin <= b goes left" is
 /// exactly the predicate "value <= Threshold(f, b)", so trained trees
 /// predict on raw feature vectors with no knowledge of the binning.

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -12,17 +13,7 @@ namespace semdrift {
 
 namespace {
 
-double GiniFromCounts(const std::vector<int>& counts, int total) {
-  if (total == 0) return 0.0;
-  double impurity = 1.0;
-  for (int c : counts) {
-    double p = static_cast<double>(c) / total;
-    impurity -= p * p;
-  }
-  return impurity;
-}
-
-double GiniU32(const uint32_t* counts, int num_classes, uint32_t total) {
+double Gini(const uint32_t* counts, int num_classes, uint32_t total) {
   if (total == 0) return 0.0;
   double impurity = 1.0;
   for (int c = 0; c < num_classes; ++c) {
@@ -32,130 +23,11 @@ double GiniU32(const uint32_t* counts, int num_classes, uint32_t total) {
   return impurity;
 }
 
-int ResolveFeaturesPerSplit(const RandomForestOptions& options, size_t d) {
-  return options.features_per_split > 0
-             ? options.features_per_split
-             : static_cast<int>(std::ceil(std::sqrt(static_cast<double>(d))));
-}
-
 }  // namespace
 
-void DecisionTree::Fit(const std::vector<std::vector<double>>& x,
-                       const std::vector<int>& y, const std::vector<size_t>& indices,
-                       int num_classes, const RandomForestOptions& options, Rng* rng) {
-  nodes_.clear();
-  stats_ = GrowthStats{};
-  std::vector<size_t> working = indices;
-  const size_t d = x.empty() ? 0 : x[0].size();
-  const int features_per_split = ResolveFeaturesPerSplit(options, d);
-
-  // Explicit preorder worklist (right child pushed first so the left pops
-  // first): node ids and the per-node RNG draws land in exactly the order
-  // the old recursive Grow produced, without an unbounded call stack on
-  // pathological max_depth / adversarial data.
-  struct Frame {
-    size_t begin, end;
-    int depth;
-    int32_t parent;  // -1 for the root.
-    bool is_left;
-  };
-  std::vector<Frame> stack;
-  stack.push_back(Frame{0, working.size(), 0, -1, false});
-  std::vector<std::pair<double, int>> column;  // (value, label) scratch.
-
-  while (!stack.empty()) {
-    Frame frame = stack.back();
-    stack.pop_back();
-    int32_t node_id = static_cast<int32_t>(nodes_.size());
-    nodes_.emplace_back();
-    if (frame.parent >= 0) {
-      (frame.is_left ? nodes_[frame.parent].left : nodes_[frame.parent].right) =
-          node_id;
-    }
-
-    std::vector<int> counts(num_classes, 0);
-    for (size_t i = frame.begin; i < frame.end; ++i) ++counts[y[working[i]]];
-    int total = static_cast<int>(frame.end - frame.begin);
-    bool pure = std::count(counts.begin(), counts.end(), 0) >=
-                static_cast<long>(counts.size()) - 1;
-
-    if (pure || frame.depth >= options.max_depth ||
-        total < 2 * options.min_samples_leaf) {
-      nodes_[node_id].counts = std::move(counts);
-      continue;
-    }
-
-    // Pick the best (feature, threshold) among a random feature subset.
-    int best_feature = -1;
-    double best_threshold = 0.0;
-    double best_score = GiniFromCounts(counts, total) - 1e-12;
-    std::vector<size_t> features(d);
-    for (size_t f = 0; f < d; ++f) features[f] = f;
-    rng->Shuffle(&features);
-    features.resize(std::min<size_t>(features_per_split, d));
-
-    for (size_t f : features) {
-      column.clear();
-      column.reserve(total);
-      for (size_t i = frame.begin; i < frame.end; ++i) {
-        column.emplace_back(x[working[i]][f], y[working[i]]);
-      }
-      std::sort(column.begin(), column.end());
-      std::vector<int> left_counts(num_classes, 0);
-      std::vector<int> right_counts = counts;
-      for (int i = 0; i + 1 < total; ++i) {
-        int label = column[i].second;
-        ++left_counts[label];
-        --right_counts[label];
-        if (column[i].first == column[i + 1].first) continue;
-        int left_total = i + 1;
-        int right_total = total - left_total;
-        if (left_total < options.min_samples_leaf ||
-            right_total < options.min_samples_leaf) {
-          continue;
-        }
-        double score =
-            (left_total * GiniFromCounts(left_counts, left_total) +
-             right_total * GiniFromCounts(right_counts, right_total)) /
-            total;
-        if (score < best_score) {
-          best_score = score;
-          best_feature = static_cast<int>(f);
-          best_threshold = 0.5 * (column[i].first + column[i + 1].first);
-        }
-      }
-    }
-
-    if (best_feature < 0) {
-      nodes_[node_id].counts = std::move(counts);
-      continue;
-    }
-
-    // Partition [begin, end) in place.
-    size_t mid = frame.begin;
-    for (size_t i = frame.begin; i < frame.end; ++i) {
-      if (x[working[i]][best_feature] <= best_threshold) {
-        std::swap(working[i], working[mid]);
-        ++mid;
-      }
-    }
-    if (mid == frame.begin || mid == frame.end) {  // Numerical edge: no real split.
-      nodes_[node_id].counts = std::move(counts);
-      continue;
-    }
-
-    nodes_[node_id].feature = best_feature;
-    nodes_[node_id].threshold = best_threshold;
-    stack.push_back(Frame{mid, frame.end, frame.depth + 1, node_id, false});
-    stack.push_back(Frame{frame.begin, mid, frame.depth + 1, node_id, true});
-  }
-  stats_.nodes = nodes_.size();
-}
-
-void DecisionTree::FitBinned(const BinnedMatrix& binned, const std::vector<int>& y,
-                             std::vector<uint32_t> rows, int num_classes,
-                             const RandomForestOptions& options,
-                             uint64_t node_seed_base) {
+void DecisionTree::Fit(const BinnedMatrix& binned, const std::vector<int>& y,
+                       std::vector<uint32_t> rows, int num_classes,
+                       const RandomForestOptions& options, uint64_t node_seed_base) {
   nodes_.clear();
   stats_ = GrowthStats{};
   const int C = num_classes;
@@ -163,7 +35,8 @@ void DecisionTree::FitBinned(const BinnedMatrix& binned, const std::vector<int>&
   const size_t hist_size = binned.total_bins() * static_cast<size_t>(C);
   const uint32_t min_leaf =
       static_cast<uint32_t>(std::max(1, options.min_samples_leaf));
-  const int features_per_split = ResolveFeaturesPerSplit(options, d);
+  const size_t features_per_node =
+      static_cast<size_t>(std::ceil(std::sqrt(static_cast<double>(d))));
 
   nodes_.emplace_back();
   if (rows.empty()) {
@@ -233,10 +106,10 @@ void DecisionTree::FitBinned(const BinnedMatrix& binned, const std::vector<int>&
     std::vector<size_t> features(d);
     for (size_t f = 0; f < d; ++f) features[f] = f;
     rng.Shuffle(&features);
-    features.resize(std::min<size_t>(features_per_split, d));
+    features.resize(std::min(features_per_node, d));
 
     const double parent_impurity =
-        GiniU32(counts.data(), C, static_cast<uint32_t>(total));
+        Gini(counts.data(), C, static_cast<uint32_t>(total));
     double best_score = parent_impurity - 1e-12;
     int best_feature = -1;
     int best_bin = -1;
@@ -256,8 +129,8 @@ void DecisionTree::FitBinned(const BinnedMatrix& binned, const std::vector<int>&
         const uint32_t right_total = static_cast<uint32_t>(total) - left_total;
         if (left_total < min_leaf || right_total < min_leaf) continue;
         for (int c = 0; c < C; ++c) right[c] = counts[c] - left[c];
-        double score = (left_total * GiniU32(left.data(), C, left_total) +
-                        right_total * GiniU32(right.data(), C, right_total)) /
+        double score = (left_total * Gini(left.data(), C, left_total) +
+                        right_total * Gini(right.data(), C, right_total)) /
                        total;
         if (score < best_score) {
           best_score = score;
@@ -479,54 +352,40 @@ Status RandomForest::Fit(const std::vector<std::vector<double>>& x,
   }
 
   num_classes_ = num_classes;
-  std::vector<std::vector<size_t>> by_class(num_classes);
+  Timer binning;
+  Result<BinnedMatrix> binned = BinnedMatrix::Build(x, options.max_bins);
+  if (!binned.ok()) return binned.status();
+  fit_stats_.binning_ms = binning.ElapsedMillis();
+  const BinnedMatrix& bm = *binned;
+
+  // Bootstraps are class-balanced: an equal-probability class draw, then a
+  // uniform member of that class. Without it a rare class (the paper's
+  // Intentional DPs are ~3% of seeds) is almost never predicted.
+  std::vector<std::vector<uint32_t>> by_class(num_classes);
+  for (size_t i = 0; i < y.size(); ++i) {
+    by_class[y[i]].push_back(static_cast<uint32_t>(i));
+  }
   std::vector<int> present;
-  if (options.balance_classes) {
-    for (size_t i = 0; i < y.size(); ++i) by_class[y[i]].push_back(i);
-    for (int k = 0; k < num_classes; ++k) {
-      if (!by_class[k].empty()) present.push_back(k);
-    }
+  for (int k = 0; k < num_classes; ++k) {
+    if (!by_class[k].empty()) present.push_back(k);
   }
   // Each tree draws its bootstrap and grows from its own seeded RNG stream
   // (TaskSeed(seed, t)), so trees are independent and the trained forest is
   // bit-identical whether trees are grown serially or across the pool.
-  auto draw_row = [&](Rng* rng) -> size_t {
-    if (options.balance_classes) {
-      // Equal-probability class draw, then a uniform member of that class.
-      const auto& rows = by_class[present[rng->NextBounded(present.size())]];
-      return rows[rng->NextBounded(rows.size())];
+  trees_.assign(options.num_trees, DecisionTree());
+  ParallelFor(trees_.size(), [&](size_t t) {
+    Rng rng(TaskSeed(options.seed, t));
+    std::vector<uint32_t> bootstrap(x.size());
+    for (uint32_t& row : bootstrap) {
+      const auto& rows = by_class[present[rng.NextBounded(present.size())]];
+      row = rows[rng.NextBounded(rows.size())];
     }
-    return static_cast<size_t>(rng->NextBounded(x.size()));
-  };
-
-  if (options.exact_splits) {
-    trees_.assign(options.num_trees, DecisionTree());
-    ParallelFor(trees_.size(), [&](size_t t) {
-      Rng rng(TaskSeed(options.seed, t));
-      std::vector<size_t> bootstrap(x.size());
-      for (size_t i = 0; i < x.size(); ++i) bootstrap[i] = draw_row(&rng);
-      trees_[t].Fit(x, y, bootstrap, num_classes, options, &rng);
-    });
-  } else {
-    Timer binning;
-    Result<BinnedMatrix> binned = BinnedMatrix::Build(x, options.max_bins);
-    if (!binned.ok()) return binned.status();
-    fit_stats_.binning_ms = binning.ElapsedMillis();
-    const BinnedMatrix& bm = *binned;
-    trees_.assign(options.num_trees, DecisionTree());
-    ParallelFor(trees_.size(), [&](size_t t) {
-      Rng rng(TaskSeed(options.seed, t));
-      std::vector<uint32_t> bootstrap(x.size());
-      for (size_t i = 0; i < x.size(); ++i) {
-        bootstrap[i] = static_cast<uint32_t>(draw_row(&rng));
-      }
-      // A fresh stream for the per-node feature subsets, decoupled from the
-      // bootstrap draws above.
-      uint64_t node_seed_base = rng.Next();
-      trees_[t].FitBinned(bm, y, std::move(bootstrap), num_classes, options,
-                          node_seed_base);
-    });
-  }
+    // A fresh stream for the per-node feature subsets, decoupled from the
+    // bootstrap draws above.
+    uint64_t node_seed_base = rng.Next();
+    trees_[t].Fit(bm, y, std::move(bootstrap), num_classes, options,
+                  node_seed_base);
+  });
 
   // Deterministic reduction: per-tree counters summed in tree order.
   for (const DecisionTree& tree : trees_) {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "ml/binned_matrix.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace semdrift {
@@ -16,36 +15,20 @@ struct RandomForestOptions {
   int num_trees = 100;
   int max_depth = 12;
   int min_samples_leaf = 2;
-  /// Features examined per split; 0 selects ceil(sqrt(d)).
-  int features_per_split = 0;
-  /// Draw each bootstrap stratified-equally across classes. Without it a
-  /// rare class (the paper's Intentional DPs are ~3% of seeds) is almost
-  /// never predicted.
-  bool balance_classes = true;
-  /// Use the legacy exact-split trainer (per-node gather + sort + scan of
-  /// raw doubles) instead of the histogram trainer. Orders of magnitude
-  /// slower on large inputs; kept as the oracle for differential tests.
-  bool exact_splits = false;
-  /// Bins per feature for the histogram trainer, in [2, 256]. Smaller is
-  /// faster but quantizes candidate thresholds more coarsely.
+  /// Bins per feature, in [2, 256]. Smaller is faster but quantizes
+  /// candidate thresholds more coarsely.
   int max_bins = 256;
   uint64_t seed = 42;
 };
 
 /// A CART-style decision tree (gini impurity, axis-aligned splits) grown on
-/// a bootstrap sample with per-split feature subsampling. Two trainers grow
-/// the same node representation:
-///
-///   Fit       — the exact trainer: per node, gather + sort each candidate
-///               feature column and scan every distinct-value boundary.
-///   FitBinned — the histogram trainer: per node, accumulate per-bin class
-///               counts over a pre-binned feature-major matrix in one linear
-///               pass and scan bin boundaries, deriving one child's
-///               histogram from parent - sibling (the subtraction trick).
-///
-/// Both grow via an explicit frontier worklist — no recursion — so
-/// pathological max_depth / adversarial data cannot overflow the stack.
-/// Used through RandomForest but exposed for unit tests.
+/// a bootstrap sample with ceil(sqrt(d)) candidate features per split. Per
+/// node it accumulates per-bin class counts over a pre-binned feature-major
+/// matrix in one linear pass and scans bin boundaries, deriving one child's
+/// histogram from parent - sibling (the subtraction trick). It grows via an
+/// explicit frontier worklist — no recursion — so pathological max_depth /
+/// adversarial data cannot overflow the stack. Used through RandomForest but
+/// exposed for unit tests.
 class DecisionTree {
  public:
   /// Per-tree growth counters, accumulated deterministically.
@@ -55,21 +38,15 @@ class DecisionTree {
     uint64_t histogram_subtractions = 0;  // Derived as parent - sibling.
   };
 
-  /// Exact trainer: fits on rows `indices` of (x, y). `x` is row-major
-  /// n x d. Draws from `rng` once per node in deterministic preorder.
-  void Fit(const std::vector<std::vector<double>>& x, const std::vector<int>& y,
-           const std::vector<size_t>& indices, int num_classes,
-           const RandomForestOptions& options, Rng* rng);
-
-  /// Histogram trainer: fits on rows `indices` (bootstrap row ids into
-  /// `binned`/`y`, duplicates allowed, consumed as the in-place partition
-  /// scratch). Nodes draw feature subsets from per-node RNG streams seeded
-  /// by TaskSeed(node_seed_base, node_id), and frontier nodes at each depth
-  /// fan out over the thread pool, so the grown tree is bit-identical at
-  /// any thread count.
-  void FitBinned(const BinnedMatrix& binned, const std::vector<int>& y,
-                 std::vector<uint32_t> indices, int num_classes,
-                 const RandomForestOptions& options, uint64_t node_seed_base);
+  /// Fits on rows `rows` (bootstrap row ids into `binned`/`y`, duplicates
+  /// allowed, consumed as the in-place partition scratch). Nodes draw
+  /// feature subsets from per-node RNG streams seeded by
+  /// TaskSeed(node_seed_base, node_id), and frontier nodes at each depth fan
+  /// out over the thread pool, so the grown tree is bit-identical at any
+  /// thread count.
+  void Fit(const BinnedMatrix& binned, const std::vector<int>& y,
+           std::vector<uint32_t> rows, int num_classes,
+           const RandomForestOptions& options, uint64_t node_seed_base);
 
   /// Class-count distribution at the leaf reached by `point`.
   const std::vector<int>& Leaf(const std::vector<double>& point) const;
@@ -98,7 +75,7 @@ class RandomForest {
     uint64_t nodes = 0;
     uint64_t histogram_builds = 0;
     uint64_t histogram_subtractions = 0;
-    double binning_ms = 0.0;  // Histogram trainer: one-time quantization.
+    double binning_ms = 0.0;  // One-time quantization.
   };
 
   /// Fits the ensemble. `y` holds class labels in [0, num_classes). Trees
@@ -106,9 +83,8 @@ class RandomForest {
   /// deterministic RNG stream derived from `options.seed`, so the fitted
   /// forest is bit-identical at any thread count. Fails with
   /// InvalidArgument (leaving the forest empty) on an empty training set,
-  /// zero-width or ragged feature rows, labels outside [0, num_classes), or
-  /// out-of-range options — the histogram trainer additionally rejects
-  /// non-finite feature values.
+  /// zero-width or ragged feature rows, labels outside [0, num_classes),
+  /// non-finite feature values, or out-of-range options.
   Status Fit(const std::vector<std::vector<double>>& x, const std::vector<int>& y,
              int num_classes, const RandomForestOptions& options);
 

@@ -122,7 +122,8 @@ enum class SnapshotSource {
   /// are exactly what BuildSnapshotImage wrote, and the writer gates deep
   /// structure before any image exists — so deferred mode detects any
   /// storage corruption, while a deliberately crafted evil file needs
-  /// eager_verify (snapshot-verify uses it).
+  /// eager_verify or an eager open (snapshot-verify reads the file and
+  /// calls OpenFromBuffer).
   kMmap,
 };
 

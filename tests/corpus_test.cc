@@ -391,7 +391,7 @@ TEST(WorldSpecValidationTest, CheckedGeneratorReturnsStatusNotAssert) {
   EXPECT_GT(good->num_concepts(), 0u);
 }
 
-TEST(WorldSpecValidationTest, MorphVariantRateZeroPreservesLegacyStream) {
+TEST(WorldSpecValidationTest, MorphVariantRateZeroPreservesSeedStream) {
   // The morphology branch must consume no rng draws at rate 0, so legacy
   // seeds keep producing byte-identical worlds.
   WorldSpec spec;

@@ -28,7 +28,7 @@ TEST(BinnedMatrixTest, LowCardinalityGetsOneBinPerDistinctValue) {
   EXPECT_EQ(binned->Bin(0, 1), 0);
   EXPECT_EQ(binned->Bin(0, 2), 1);
   EXPECT_EQ(binned->Bin(0, 3), 0);
-  // Thresholds are the midpoints the exact trainer would consider.
+  // Thresholds are the midpoints between distinct values.
   EXPECT_DOUBLE_EQ(binned->Threshold(0, 0), 1.5);
   EXPECT_DOUBLE_EQ(binned->Threshold(0, 1), 2.5);
 }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "ml/random_forest.h"
 #include "util/rng.h"
@@ -19,15 +21,29 @@ void MakeXorData(size_t n, Rng* rng, std::vector<std::vector<double>>* x,
   }
 }
 
-TEST(DecisionTreeTest, FitsPureLeafOnConstantLabels) {
-  std::vector<std::vector<double>> x{{0.0}, {1.0}, {2.0}};
-  std::vector<int> y{1, 1, 1};
+/// Fits one tree on every row of `x`.
+DecisionTree FitTree(const std::vector<std::vector<double>>& x,
+                     const std::vector<int>& y, const RandomForestOptions& options,
+                     uint64_t node_seed_base) {
   DecisionTree tree;
-  Rng rng(1);
-  tree.Fit(x, y, {0, 1, 2}, 2, RandomForestOptions{}, &rng);
+  auto binned = BinnedMatrix::Build(x, options.max_bins);
+  if (!binned.ok()) {
+    ADD_FAILURE() << binned.status().ToString();
+    return tree;
+  }
+  std::vector<uint32_t> all(x.size());
+  for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
+  tree.Fit(*binned, y, std::move(all), 2, options, node_seed_base);
+  return tree;
+}
+
+TEST(DecisionTreeTest, FitsPureLeafOnConstantLabels) {
+  DecisionTree tree = FitTree({{0.0}, {1.0}, {2.0}}, {1, 1, 1},
+                              RandomForestOptions{}, /*node_seed_base=*/1);
   EXPECT_EQ(tree.num_nodes(), 1u);
   const auto& counts = tree.Leaf({0.5});
   EXPECT_EQ(counts[1], 3);
+  EXPECT_EQ(tree.stats().histogram_builds, 0u);  // A pure root never scans.
 }
 
 TEST(DecisionTreeTest, SplitsSimpleThreshold) {
@@ -37,79 +53,51 @@ TEST(DecisionTreeTest, SplitsSimpleThreshold) {
     x.push_back({static_cast<double>(i)});
     y.push_back(i < 10 ? 0 : 1);
   }
-  std::vector<size_t> all(20);
-  for (size_t i = 0; i < 20; ++i) all[i] = i;
-  DecisionTree tree;
-  Rng rng(2);
-  RandomForestOptions options;
-  options.features_per_split = 1;
-  tree.Fit(x, y, all, 2, options, &rng);
-  EXPECT_GT(tree.num_nodes(), 1u);
+  DecisionTree tree = FitTree(x, y, RandomForestOptions{}, /*node_seed_base=*/17);
+  EXPECT_EQ(tree.num_nodes(), 3u);
   EXPECT_GT(tree.Leaf({3.0})[0], 0);
   EXPECT_EQ(tree.Leaf({3.0})[1], 0);
   EXPECT_GT(tree.Leaf({15.0})[1], 0);
-}
-
-TEST(DecisionTreeTest, BinnedSplitsSimpleThreshold) {
-  std::vector<std::vector<double>> x;
-  std::vector<int> y;
-  std::vector<uint32_t> all;
-  for (uint32_t i = 0; i < 20; ++i) {
-    x.push_back({static_cast<double>(i)});
-    y.push_back(i < 10 ? 0 : 1);
-    all.push_back(i);
-  }
-  auto binned = BinnedMatrix::Build(x, 256);
-  ASSERT_TRUE(binned.ok());
-  DecisionTree tree;
-  RandomForestOptions options;
-  options.features_per_split = 1;
-  tree.FitBinned(*binned, y, all, 2, options, /*node_seed_base=*/17);
-  EXPECT_GT(tree.num_nodes(), 1u);
-  EXPECT_GT(tree.Leaf({3.0})[0], 0);
-  EXPECT_EQ(tree.Leaf({3.0})[1], 0);
-  EXPECT_GT(tree.Leaf({15.0})[1], 0);
+  // 20 distinct values fit in 256 bins, so the cut is the midpoint 9.5.
+  EXPECT_EQ(tree.Leaf({9.49})[1], 0);
+  EXPECT_EQ(tree.Leaf({9.51})[0], 0);
   EXPECT_GE(tree.stats().histogram_builds, 1u);
 }
 
 TEST(DecisionTreeTest, WorklistSurvivesPathologicalChainDepth) {
   // Alternating labels over a single monotone feature make the best gini
   // split peel one sample off an end at every node: the tree degenerates to
-  // a chain roughly as deep as the sample count. The recursive trainer put
-  // one stack frame (with live std::vector temporaries) per chain link;
-  // the explicit worklist must grow this shape comfortably.
-  const int n = 2500;
+  // a chain roughly as deep as the sample count. A recursive trainer would
+  // put one stack frame per chain link; the explicit worklist must grow
+  // this shape comfortably. Depth is capped by the bin count, so with one
+  // distinct value per bin every sample ends in its own leaf.
+  const int n = BinnedMatrix::kMaxBins;
   std::vector<std::vector<double>> x;
   std::vector<int> y;
-  std::vector<size_t> all;
   for (int i = 0; i < n; ++i) {
     x.push_back({static_cast<double>(i)});
     y.push_back(i % 2);
-    all.push_back(i);
   }
   RandomForestOptions options;
   options.max_depth = std::numeric_limits<int>::max();
   options.min_samples_leaf = 1;
-  options.features_per_split = 1;
-  DecisionTree tree;
-  Rng rng(13);
-  tree.Fit(x, y, all, 2, options, &rng);
-  // A chain over n samples has ~2n-1 nodes; anything above 2000 proves the
-  // pathological depth was actually reached (not truncated by max_depth).
-  EXPECT_GT(tree.num_nodes(), 2000u);
+  DecisionTree tree = FitTree(x, y, options, /*node_seed_base=*/13);
+  // n single-sample leaves: 2n - 1 nodes, the depth was not truncated.
+  EXPECT_EQ(tree.num_nodes(), static_cast<size_t>(2 * n - 1));
   EXPECT_EQ(tree.stats().nodes, tree.num_nodes());
   // The tree still classifies the training points.
   EXPECT_GT(tree.Leaf({0.0})[0], 0);
   EXPECT_GT(tree.Leaf({1.0})[1], 0);
 
-  // The binned trainer grows the same pathology without recursion either;
-  // its depth is capped by bin count but the worklist must not blow up.
-  std::vector<uint32_t> all32(all.begin(), all.end());
-  auto binned = BinnedMatrix::Build(x, 256);
-  ASSERT_TRUE(binned.ok());
-  DecisionTree binned_tree;
-  binned_tree.FitBinned(*binned, y, all32, 2, options, /*node_seed_base=*/13);
-  EXPECT_GT(binned_tree.num_nodes(), 100u);
+  // Past the bin count the tree stops at bin resolution, but the worklist
+  // must not blow up either.
+  x.clear();
+  y.clear();
+  for (int i = 0; i < 2500; ++i) {
+    x.push_back({static_cast<double>(i)});
+    y.push_back(i % 2);
+  }
+  EXPECT_GT(FitTree(x, y, options, /*node_seed_base=*/13).num_nodes(), 100u);
 }
 
 TEST(RandomForestTest, LearnsXor) {
@@ -124,22 +112,6 @@ TEST(RandomForestTest, LearnsXor) {
   int correct = 0;
   for (size_t i = 0; i < x.size(); ++i) correct += forest.Predict(x[i]) == y[i];
   EXPECT_GT(correct, static_cast<int>(0.95 * x.size()));
-}
-
-TEST(RandomForestTest, ExactTrainerLearnsXor) {
-  Rng rng(3);
-  std::vector<std::vector<double>> x;
-  std::vector<int> y;
-  MakeXorData(400, &rng, &x, &y);
-  RandomForest forest;
-  RandomForestOptions options;
-  options.num_trees = 30;
-  options.exact_splits = true;
-  ASSERT_TRUE(forest.Fit(x, y, 2, options).ok());
-  int correct = 0;
-  for (size_t i = 0; i < x.size(); ++i) correct += forest.Predict(x[i]) == y[i];
-  EXPECT_GT(correct, static_cast<int>(0.95 * x.size()));
-  EXPECT_EQ(forest.fit_stats().histogram_builds, 0u);
 }
 
 TEST(RandomForestTest, CoarseBinsStillLearn) {
@@ -247,48 +219,44 @@ TEST(RandomForestTest, MaxDepthZeroGivesStumps) {
   EXPECT_NEAR(proba[0] + proba[1], 1.0, 1e-9);
 }
 
-TEST(RandomForestTest, RejectsDegenerateInputOnBothTrainers) {
+TEST(RandomForestTest, RejectsDegenerateInput) {
   // These used to be a release-stripped assert (x[0] on an empty x is UB);
   // now every caller gets a Status and an empty, harmless forest.
-  for (bool exact : {false, true}) {
-    RandomForestOptions options;
-    options.exact_splits = exact;
-    options.num_trees = 3;
-    RandomForest forest;
-    // Empty training set.
-    EXPECT_FALSE(forest.Fit({}, {}, 2, options).ok()) << "exact=" << exact;
-    EXPECT_EQ(forest.num_trees(), 0u);
-    // Zero-width feature vectors.
-    EXPECT_FALSE(forest.Fit({{}, {}}, {0, 1}, 2, options).ok()) << "exact=" << exact;
-    EXPECT_EQ(forest.num_trees(), 0u);
-    // Ragged rows.
-    EXPECT_FALSE(forest.Fit({{1.0}, {1.0, 2.0}}, {0, 1}, 2, options).ok());
-    // Label/row count mismatch.
-    EXPECT_FALSE(forest.Fit({{1.0}, {2.0}}, {0}, 2, options).ok());
-    // Labels outside [0, num_classes).
-    EXPECT_FALSE(forest.Fit({{1.0}, {2.0}}, {0, 2}, 2, options).ok());
-    EXPECT_FALSE(forest.Fit({{1.0}, {2.0}}, {0, -1}, 2, options).ok());
-    // Degenerate options.
-    options.num_trees = 0;
-    EXPECT_FALSE(forest.Fit({{1.0}, {2.0}}, {0, 1}, 2, options).ok());
-    options.num_trees = 3;
-    // A failed fit leaves no stale trees behind from a previous good fit.
-    ASSERT_TRUE(forest.Fit({{1.0}, {2.0}}, {0, 1}, 2, options).ok());
-    EXPECT_EQ(forest.num_trees(), 3u);
-    EXPECT_FALSE(forest.Fit({}, {}, 2, options).ok());
-    EXPECT_EQ(forest.num_trees(), 0u);
-  }
-  // The histogram trainer also rejects what it cannot quantize.
   RandomForestOptions options;
+  options.num_trees = 3;
   RandomForest forest;
+  // Empty training set.
+  EXPECT_FALSE(forest.Fit({}, {}, 2, options).ok());
+  EXPECT_EQ(forest.num_trees(), 0u);
+  // Zero-width feature vectors.
+  EXPECT_FALSE(forest.Fit({{}, {}}, {0, 1}, 2, options).ok());
+  EXPECT_EQ(forest.num_trees(), 0u);
+  // Ragged rows.
+  EXPECT_FALSE(forest.Fit({{1.0}, {1.0, 2.0}}, {0, 1}, 2, options).ok());
+  // Label/row count mismatch.
+  EXPECT_FALSE(forest.Fit({{1.0}, {2.0}}, {0}, 2, options).ok());
+  // Labels outside [0, num_classes).
+  EXPECT_FALSE(forest.Fit({{1.0}, {2.0}}, {0, 2}, 2, options).ok());
+  EXPECT_FALSE(forest.Fit({{1.0}, {2.0}}, {0, -1}, 2, options).ok());
+  // Non-finite features cannot be quantized.
   EXPECT_FALSE(
       forest.Fit({{std::numeric_limits<double>::quiet_NaN()}, {1.0}}, {0, 1}, 2,
                  options)
           .ok());
+  // Degenerate options.
+  options.num_trees = 0;
+  EXPECT_FALSE(forest.Fit({{1.0}, {2.0}}, {0, 1}, 2, options).ok());
+  options.num_trees = 3;
   options.max_bins = 1;
   EXPECT_FALSE(forest.Fit({{1.0}, {2.0}}, {0, 1}, 2, options).ok());
   options.max_bins = 300;
   EXPECT_FALSE(forest.Fit({{1.0}, {2.0}}, {0, 1}, 2, options).ok());
+  options.max_bins = 256;
+  // A failed fit leaves no stale trees behind from a previous good fit.
+  ASSERT_TRUE(forest.Fit({{1.0}, {2.0}}, {0, 1}, 2, options).ok());
+  EXPECT_EQ(forest.num_trees(), 3u);
+  EXPECT_FALSE(forest.Fit({}, {}, 2, options).ok());
+  EXPECT_EQ(forest.num_trees(), 0u);
 }
 
 }  // namespace
