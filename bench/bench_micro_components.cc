@@ -1,7 +1,7 @@
 // Google-benchmark micro benchmarks for the library's hot components:
 // extraction throughput, ranking-model cost, mutex-index construction,
-// feature extraction, rollback cascades, kernel PCA and the manifold
-// regularizer.
+// feature extraction, rollback cascades, kernel PCA (fit and projection),
+// the manifold regularizer and the Algorithm-1 multi-task solve.
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +15,7 @@
 #include "kb/knowledge_base.h"
 #include "ml/kpca.h"
 #include "ml/manifold.h"
+#include "ml/multitask.h"
 #include "ml/random_forest.h"
 #include "mutex/mutex_index.h"
 #include "rank/scorers.h"
@@ -242,6 +243,34 @@ void BM_KernelPcaFit(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelPcaFit)->Arg(100)->Arg(300)->Arg(600)->Unit(benchmark::kMillisecond);
 
+void BM_KpcaTransform(benchmark::State& state) {
+  // One out-of-sample projection against an n-row fit: the per-row cost of
+  // classify and of the detector's task build. 94 components, as the
+  // detector keeps on the batch-run worlds.
+  size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(5);
+  Matrix x(n, 4);
+  for (size_t i = 0; i < n; ++i)
+    for (size_t j = 0; j < 4; ++j) x(i, j) = rng.NextGaussian();
+  KpcaOptions options;
+  options.max_components = 94;
+  KernelPca kpca;
+  if (!kpca.Fit(x, options)) {
+    state.SkipWithError("KPCA fit failed");
+    return;
+  }
+  std::vector<std::vector<double>> queries(64, std::vector<double>(4));
+  for (auto& q : queries)
+    for (double& v : q) v = rng.NextGaussian();
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kpca.Transform(queries[next]));
+    next = (next + 1) % queries.size();
+  }
+  state.counters["components"] = static_cast<double>(kpca.num_components());
+}
+BENCHMARK(BM_KpcaTransform)->Arg(600)->Unit(benchmark::kMicrosecond);
+
 void BM_ManifoldRegularizer(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   Rng rng(6);
@@ -254,6 +283,36 @@ void BM_ManifoldRegularizer(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ManifoldRegularizer)->Arg(100)->Arg(300)->Unit(benchmark::kMillisecond);
+
+void BM_TrainMultiTask(benchmark::State& state) {
+  // Algorithm 1 at the detector's shape: 240 tasks of 14 labeled rows in an
+  // r = 94 KPCA space, with the manifold regularizer of a 600-row pool.
+  constexpr size_t kR = 94;
+  Rng rng(8);
+  Matrix pool(600, kR);
+  for (size_t i = 0; i < pool.rows(); ++i)
+    for (size_t j = 0; j < kR; ++j) pool(i, j) = rng.NextGaussian();
+  Matrix a = BuildManifoldRegularizer(pool, ManifoldOptions{});
+  std::vector<LearningTask> tasks(240);
+  for (LearningTask& task : tasks) {
+    task.xl = Matrix(14, kR);
+    task.y = Matrix(14, 3);
+    for (size_t i = 0; i < 14; ++i) {
+      for (size_t j = 0; j < kR; ++j) task.xl(i, j) = rng.NextGaussian();
+      task.y(i, i % 3) = 1.0;
+    }
+  }
+  SetGlobalThreadCount(static_cast<int>(state.range(0)));
+  size_t iterations = 0;
+  for (auto _ : state) {
+    MultiTaskResult result = TrainMultiTask(tasks, a, MultiTaskOptions{});
+    iterations = result.objective_trace.size();
+    benchmark::DoNotOptimize(result.w.data());
+  }
+  SetGlobalThreadCount(0);
+  state.counters["iterations"] = static_cast<double>(iterations);
+}
+BENCHMARK(BM_TrainMultiTask)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace semdrift

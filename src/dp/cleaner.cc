@@ -79,7 +79,7 @@ Status WarmSupervised(const KnowledgeBase& kb, ScoreCache* scores,
 }
 
 /// Supervised classification: per-concept guarded passes, detections
-/// flattened in scope order (matching the unsupervised serial loop), bad
+/// flattened in scope order (matching the unsupervised path), bad
 /// feature vectors dropped with provenance.
 Status ClassifySupervised(const KnowledgeBase& kb, const FeatureExtractor& features,
                           const DpDetector& detector,
@@ -257,7 +257,10 @@ Result<CleaningReport> DpCleaner::CleanImpl(KnowledgeBase* kb,
         trained = std::move(train_result->detector);
       } else {
         TrainingData data = CollectTrainingData(*kb, &features, seeds, live_scope);
+        ScopedSpan train_span(&GlobalTrace(), "detector.train");
+        train_span.AddTag("kind", DetectorKindName(options_.detector));
         trained = TrainDetector(options_.detector, data, options_.train);
+        train_span.SetOutcome(trained != nullptr ? "ok" : "no-detector");
       }
       if (trained != nullptr) {
         detector = std::move(trained);
@@ -274,14 +277,23 @@ Result<CleaningReport> DpCleaner::CleanImpl(KnowledgeBase* kb,
                                              supervisor, &detections);
       if (!classified.ok()) return classified;
     } else {
-      for (ConceptId c : live_scope) {
-        for (InstanceId e : kb->LiveInstancesOf(c)) {
-          FeatureVector f = features.Extract(c, e);
-          DpClass type = detector->Classify(c, f);
-          if (type == DpClass::kAccidentalDP || type == DpClass::kIntentionalDP) {
-            detections.push_back(Detection{IsAPair{c, e}, type});
-          }
-        }
+      // Concepts classify independently; detections flatten in scope order.
+      ScopedSpan span(&GlobalTrace(), "score.batch");
+      span.AddTag("concepts", static_cast<uint64_t>(live_scope.size()));
+      std::vector<std::vector<Detection>> per_concept =
+          ParallelMap<std::vector<Detection>>(live_scope.size(), [&](size_t i) {
+            ConceptId c = live_scope[i];
+            std::vector<Detection> found;
+            for (InstanceId e : kb->LiveInstancesOf(c)) {
+              DpClass type = detector->Classify(c, features.Extract(c, e));
+              if (type == DpClass::kAccidentalDP || type == DpClass::kIntentionalDP) {
+                found.push_back(Detection{IsAPair{c, e}, type});
+              }
+            }
+            return found;
+          });
+      for (const std::vector<Detection>& found : per_concept) {
+        detections.insert(detections.end(), found.begin(), found.end());
       }
     }
 

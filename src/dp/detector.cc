@@ -390,8 +390,13 @@ std::unique_ptr<DpDetector> TrainLinearKpca(const TrainingData& data,
   Matrix pool_projected = kpca.TransformMatrix(pool_matrix);
   Matrix a = BuildManifoldRegularizer(pool_projected, options.manifold);
 
-  // 4. One learning task per concept with labeled data.
+  // 4. One learning task per concept with labeled data. The tasks are
+  //    allocated here in concept order; the pool then projects each task's
+  //    labeled rows (the tasks live through training, so their storage
+  //    stays out of the workers' allocator arenas).
   std::vector<LearningTask> tasks;
+  std::vector<const ConceptTrainingData*> task_data;
+  std::vector<std::vector<size_t>> task_rows;
   std::vector<uint32_t> task_concepts;
   for (const auto& concept_data : data) {
     std::vector<size_t> labeled_rows;
@@ -402,28 +407,37 @@ std::unique_ptr<DpDetector> TrainLinearKpca(const TrainingData& data,
     LearningTask task;
     task.xl = Matrix(labeled_rows.size(), r);
     task.y = Matrix(labeled_rows.size(), 3);
-    for (size_t row = 0; row < labeled_rows.size(); ++row) {
-      size_t i = labeled_rows[row];
-      std::vector<double> raw(concept_data.features[i].begin(),
-                              concept_data.features[i].end());
-      std::vector<double> projected = kpca.Transform(raw);
-      for (size_t p = 0; p < r; ++p) task.xl(row, p) = projected[p];
-      task.y(row, static_cast<size_t>(concept_data.seed_labels[i])) = 1.0;
-    }
     tasks.push_back(std::move(task));
+    task_data.push_back(&concept_data);
+    task_rows.push_back(std::move(labeled_rows));
     task_concepts.push_back(concept_data.concept_id.value);
   }
   if (tasks.empty()) return nullptr;
+  ParallelFor(tasks.size(), [&](size_t t) {
+    const ConceptTrainingData& concept_data = *task_data[t];
+    for (size_t row = 0; row < task_rows[t].size(); ++row) {
+      size_t i = task_rows[t][row];
+      std::vector<double> raw(concept_data.features[i].begin(),
+                              concept_data.features[i].end());
+      std::vector<double> projected = kpca.Transform(raw);
+      for (size_t p = 0; p < r; ++p) tasks[t].xl(row, p) = projected[p];
+      tasks[t].y(row, static_cast<size_t>(concept_data.seed_labels[i])) = 1.0;
+    }
+  });
 
-  // 5. Train (Eq. 15 independently, or Eq. 18 / Algorithm 1 jointly).
+  // 5. Train (Eq. 15 independently, or Eq. 18 / Algorithm 1 jointly). A
+  //    system that is not positive definite yields no detector, which sends
+  //    the supervised path down its fallback ladder.
   std::vector<Matrix> w;
   if (multitask) {
     MultiTaskResult result = TrainMultiTask(tasks, a, options.multitask);
+    if (!result.status.ok()) return nullptr;
     w = std::move(result.w);
   } else {
     w.reserve(tasks.size());
     for (const auto& task : tasks) {
       w.push_back(TrainSemiSupervised(task, a, options.multitask));
+      if (w.back().rows() == 0) return nullptr;
     }
   }
 

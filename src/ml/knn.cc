@@ -2,15 +2,16 @@
 
 #include <algorithm>
 
+#include "util/thread_pool.h"
+
 namespace semdrift {
 
 std::vector<std::vector<size_t>> KNearestNeighbors(const Matrix& x, int k) {
   size_t n = x.rows();
   size_t d = x.cols();
-  std::vector<std::vector<size_t>> out(n);
-  std::vector<std::pair<double, size_t>> distances;
-  for (size_t i = 0; i < n; ++i) {
-    distances.clear();
+  // Rows are independent: each scans every other row on its own.
+  return ParallelMap<std::vector<size_t>>(n, [&](size_t i) {
+    std::vector<std::pair<double, size_t>> distances;
     distances.reserve(n - 1);
     for (size_t j = 0; j < n; ++j) {
       if (j == i) continue;
@@ -25,11 +26,12 @@ std::vector<std::vector<size_t>> KNearestNeighbors(const Matrix& x, int k) {
     }
     size_t want = std::min(static_cast<size_t>(k), distances.size());
     std::partial_sort(distances.begin(), distances.begin() + want, distances.end());
-    out[i].reserve(want + 1);
-    out[i].push_back(i);  // Self first.
-    for (size_t t = 0; t < want; ++t) out[i].push_back(distances[t].second);
-  }
-  return out;
+    std::vector<size_t> nearest;
+    nearest.reserve(want + 1);
+    nearest.push_back(i);  // Self first.
+    for (size_t t = 0; t < want; ++t) nearest.push_back(distances[t].second);
+    return nearest;
+  });
 }
 
 }  // namespace semdrift

@@ -1,7 +1,10 @@
 #include "ml/kpca.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+
+#include "util/thread_pool.h"
 
 namespace semdrift {
 
@@ -61,6 +64,7 @@ bool KernelPca::Fit(const Matrix& x, const KpcaOptions& options) {
   }
 
   EigenResult eigen = SymmetricEigen(centered);  // Ascending.
+  if (!eigen.status.ok()) return false;
   double max_eigen = eigen.values.empty() ? 0.0 : eigen.values.back();
   if (max_eigen <= 0.0) return false;
   double floor = options_.eigen_floor * max_eigen;
@@ -78,14 +82,15 @@ bool KernelPca::Fit(const Matrix& x, const KpcaOptions& options) {
   }
   num_components_ = keep.size();
   if (num_components_ == 0) return false;
-  alphas_ = Matrix(n, num_components_);
+  alphas_ = Matrix(num_components_, n);
   eigenvalues_.clear();
   for (size_t p = 0; p < num_components_; ++p) {
     size_t idx = keep[p];
     double lambda = eigen.values[idx];
     eigenvalues_.push_back(lambda);
     double scale = 1.0 / std::sqrt(lambda);
-    for (size_t i = 0; i < n; ++i) alphas_(i, p) = eigen.vectors(i, idx) * scale;
+    double* alpha = alphas_.Row(p);
+    for (size_t i = 0; i < n; ++i) alpha[i] = eigen.vectors(i, idx) * scale;
   }
   return true;
 }
@@ -113,10 +118,33 @@ std::vector<double> KernelPca::Transform(const std::vector<double>& x) const {
   for (size_t i = 0; i < n; ++i) {
     centered[i] = k[i] - k_row_mean_[i] - k_mean + k_total_mean_;
   }
+  // x~^p = sum_i alpha^p_i k~_i, summed in i order for every component.
+  // The sums are independent serial chains, so four components advance
+  // together (one load of centered[i] feeds four adds in flight).
   std::vector<double> out(num_components_, 0.0);
-  for (size_t p = 0; p < num_components_; ++p) {
+  size_t p = 0;
+  for (; p + 4 <= num_components_; p += 4) {
+    const double* a0 = alphas_.Row(p);
+    const double* a1 = alphas_.Row(p + 1);
+    const double* a2 = alphas_.Row(p + 2);
+    const double* a3 = alphas_.Row(p + 3);
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      double c = centered[i];
+      s0 += a0[i] * c;
+      s1 += a1[i] * c;
+      s2 += a2[i] * c;
+      s3 += a3[i] * c;
+    }
+    out[p] = s0;
+    out[p + 1] = s1;
+    out[p + 2] = s2;
+    out[p + 3] = s3;
+  }
+  for (; p < num_components_; ++p) {
+    const double* a = alphas_.Row(p);
     double s = 0.0;
-    for (size_t i = 0; i < n; ++i) s += alphas_(i, p) * centered[i];
+    for (size_t i = 0; i < n; ++i) s += a[i] * centered[i];
     out[p] = s;
   }
   return out;
@@ -124,12 +152,11 @@ std::vector<double> KernelPca::Transform(const std::vector<double>& x) const {
 
 Matrix KernelPca::TransformMatrix(const Matrix& x) const {
   Matrix out(x.rows(), num_components_);
-  std::vector<double> point(x.cols());
-  for (size_t i = 0; i < x.rows(); ++i) {
-    for (size_t j = 0; j < x.cols(); ++j) point[j] = x(i, j);
-    std::vector<double> projected = Transform(point);
-    for (size_t p = 0; p < num_components_; ++p) out(i, p) = projected[p];
-  }
+  ParallelFor(x.rows(), [&](size_t i) {
+    const double* row = x.Row(i);
+    std::vector<double> projected = Transform(std::vector<double>(row, row + x.cols()));
+    std::copy(projected.begin(), projected.end(), out.Row(i));
+  });
   return out;
 }
 

@@ -33,13 +33,15 @@ class KernelPca {
   KernelPca() = default;
 
   /// Fits on the rows of `x` (n samples by d features). Returns false when
-  /// the input is degenerate (fewer than 2 rows or no positive eigenvalue).
+  /// the input is degenerate (fewer than 2 rows, a non-finite entry, no
+  /// positive eigenvalue) or the eigensolve fails.
   bool Fit(const Matrix& x, const KpcaOptions& options);
 
   /// Projects one d-dimensional point; returns an r-dimensional vector.
   std::vector<double> Transform(const std::vector<double>& x) const;
 
-  /// Projects every row of `x`, producing an (x.rows() by r) matrix.
+  /// Projects every row of `x`, producing an (x.rows() by r) matrix. Rows
+  /// fan out over the thread pool; each is exactly Transform(row).
   Matrix TransformMatrix(const Matrix& x) const;
 
   size_t num_components() const { return num_components_; }
@@ -47,6 +49,9 @@ class KernelPca {
 
   /// Eigenvalues retained (descending).
   const std::vector<double>& eigenvalues() const { return eigenvalues_; }
+
+  /// Dual coefficient of training row `i` in component `p` (scaled 1/sqrt(l)).
+  double alpha(size_t i, size_t p) const { return alphas_(p, i); }
 
  private:
   /// Applies standardization to a copy of a raw point.
@@ -56,7 +61,8 @@ class KernelPca {
   double gamma_ = 1.0;
   size_t num_components_ = 0;
   Matrix train_;                    // Standardized training rows.
-  Matrix alphas_;                   // n x r dual coefficients (scaled 1/sqrt(l)).
+  Matrix alphas_;                   // r x n dual coefficients (scaled 1/sqrt(l)),
+                                    // one contiguous row per component.
   std::vector<double> eigenvalues_; // Retained eigenvalues, descending.
   std::vector<double> k_row_mean_;  // Row means of the training kernel.
   double k_total_mean_ = 0.0;

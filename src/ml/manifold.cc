@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "ml/knn.h"
+#include "util/thread_pool.h"
 
 namespace semdrift {
 
@@ -12,9 +13,11 @@ Matrix BuildManifoldRegularizer(const Matrix& x, const ManifoldOptions& options)
   assert(n > 0 && r > 0);
   auto neighborhoods = KNearestNeighbors(x, options.k);
 
-  // M = sum_i S_i L_i S_i^T, assembled densely (n x n).
-  Matrix m_acc(n, n);
-  for (size_t i = 0; i < n; ++i) {
+  // L_i per neighborhood, computed independently across the pool; the
+  // scatter into M = sum_i S_i L_i S_i^T below stays serial in i order so
+  // every entry of M sums its contributions in the same order at any
+  // thread count.
+  std::vector<Matrix> locals = ParallelMap<Matrix>(n, [&](size_t i) {
     const std::vector<size_t>& nb = neighborhoods[i];
     size_t m = nb.size();  // k + 1 (self first).
     // G = X~_i^T X~_i over the neighborhood columns.
@@ -53,9 +56,15 @@ Matrix BuildManifoldRegularizer(const Matrix& x, const ManifoldOptions& options)
     assert(ok && "HGH + lambda I must be positive definite");
     (void)ok;
     li.Scale(options.local_lambda);
-    double shift = 1.0 / static_cast<double>(m);
-    for (size_t a = 0; a < m; ++a) {
-      for (size_t b = 0; b < m; ++b) {
+    return li;
+  });
+  Matrix m_acc(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    const std::vector<size_t>& nb = neighborhoods[i];
+    const Matrix& li = locals[i];
+    double shift = 1.0 / static_cast<double>(nb.size());
+    for (size_t a = 0; a < nb.size(); ++a) {
+      for (size_t b = 0; b < nb.size(); ++b) {
         m_acc(nb[a], nb[b]) += li(a, b) - shift;
       }
     }

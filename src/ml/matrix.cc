@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
+
+#include "util/thread_pool.h"
 
 namespace semdrift {
 
@@ -98,17 +101,40 @@ namespace {
 
 /// In-place Cholesky factorization: lower triangle of `a` becomes L with
 /// A = L L^T. Returns false when not positive definite.
+///
+/// Each entry's dot product is one serial chain in k order; four rows' chains
+/// run interleaved so the adds overlap instead of waiting on each other.
 bool CholeskyFactor(Matrix* a) {
   size_t n = a->rows();
   for (size_t j = 0; j < n; ++j) {
-    double d = (*a)(j, j);
-    for (size_t k = 0; k < j; ++k) d -= (*a)(j, k) * (*a)(j, k);
+    const double* aj = a->Row(j);
+    double d = aj[j];
+    for (size_t k = 0; k < j; ++k) d -= aj[k] * aj[k];
     if (d <= 0.0 || !std::isfinite(d)) return false;
     double ljj = std::sqrt(d);
     (*a)(j, j) = ljj;
-    for (size_t i = j + 1; i < n; ++i) {
-      double s = (*a)(i, j);
-      for (size_t k = 0; k < j; ++k) s -= (*a)(i, k) * (*a)(j, k);
+    size_t i = j + 1;
+    for (; i + 4 <= n; i += 4) {
+      const double* a0 = a->Row(i);
+      const double* a1 = a->Row(i + 1);
+      const double* a2 = a->Row(i + 2);
+      const double* a3 = a->Row(i + 3);
+      double s0 = a0[j], s1 = a1[j], s2 = a2[j], s3 = a3[j];
+      for (size_t k = 0; k < j; ++k) {
+        s0 -= a0[k] * aj[k];
+        s1 -= a1[k] * aj[k];
+        s2 -= a2[k] * aj[k];
+        s3 -= a3[k] * aj[k];
+      }
+      (*a)(i, j) = s0 / ljj;
+      (*a)(i + 1, j) = s1 / ljj;
+      (*a)(i + 2, j) = s2 / ljj;
+      (*a)(i + 3, j) = s3 / ljj;
+    }
+    for (; i < n; ++i) {
+      const double* ai = a->Row(i);
+      double s = ai[j];
+      for (size_t k = 0; k < j; ++k) s -= ai[k] * aj[k];
       (*a)(i, j) = s / ljj;
     }
   }
@@ -207,14 +233,21 @@ namespace {
 
 double Hypot(double a, double b) { return std::hypot(a, b); }
 
-/// Householder reduction of a symmetric matrix to tridiagonal form.
-/// On exit: d = diagonal, e = subdiagonal (e[0] unused), z = accumulated
-/// orthogonal transform (columns will become eigenvectors after QL).
+/// Element operations below which a loop runs inline rather than waking
+/// the thread pool.
+constexpr size_t kMinPooledWork = size_t{1} << 15;
+
+/// Householder reduction of a symmetric matrix to tridiagonal form (only
+/// the lower triangle is read). On exit: d = diagonal, e = subdiagonal
+/// (e[0] unused), z = the accumulated orthogonal transform stored
+/// *transposed*: row j of z is what becomes eigenvector j after QL, so the
+/// QL rotations and the accumulation below walk contiguous rows.
 void Tridiagonalize(Matrix* z, std::vector<double>* d, std::vector<double>* e) {
   size_t n = z->rows();
   d->assign(n, 0.0);
   e->assign(n, 0.0);
   if (n == 0) return;
+  std::vector<double> p(n);
   for (size_t i = n - 1; i > 0; --i) {
     size_t l = i - 1;
     double h = 0.0;
@@ -224,31 +257,43 @@ void Tridiagonalize(Matrix* z, std::vector<double>* d, std::vector<double>* e) {
       if (scale == 0.0) {
         (*e)[i] = (*z)(i, l);
       } else {
+        double* u = z->Row(i);
         for (size_t k = 0; k <= l; ++k) {
-          (*z)(i, k) /= scale;
-          h += (*z)(i, k) * (*z)(i, k);
+          u[k] /= scale;
+          h += u[k] * u[k];
         }
-        double f = (*z)(i, l);
+        double f = u[l];
         double g = f >= 0.0 ? -std::sqrt(h) : std::sqrt(h);
         (*e)[i] = scale * g;
         h -= f * g;
-        (*z)(i, l) = f - g;
+        u[l] = f - g;
+        // p = A u over the lower triangle. p[j] sums row j's part (k <= j)
+        // first, then column j's part (k = j+1..l) in ascending k; sweeping
+        // rows k in order adds those column terms in that same order while
+        // reading memory row by row.
+        for (size_t j = 0; j <= l; ++j) {
+          const double* zj = z->Row(j);
+          double s = 0.0;
+          for (size_t k = 0; k <= j; ++k) s += zj[k] * u[k];
+          p[j] = s;
+        }
+        for (size_t k = 1; k <= l; ++k) {
+          const double* zk = z->Row(k);
+          double uk = u[k];
+          for (size_t j = 0; j < k; ++j) p[j] += zk[j] * uk;
+        }
         f = 0.0;
         for (size_t j = 0; j <= l; ++j) {
-          (*z)(j, i) = (*z)(i, j) / h;
-          g = 0.0;
-          for (size_t k = 0; k <= j; ++k) g += (*z)(j, k) * (*z)(i, k);
-          for (size_t k = j + 1; k <= l; ++k) g += (*z)(k, j) * (*z)(i, k);
-          (*e)[j] = g / h;
-          f += (*e)[j] * (*z)(i, j);
+          (*z)(j, i) = u[j] / h;
+          (*e)[j] = p[j] / h;
+          f += (*e)[j] * u[j];
         }
         double hh = f / (h + h);
         for (size_t j = 0; j <= l; ++j) {
-          f = (*z)(i, j);
+          f = u[j];
           (*e)[j] = g = (*e)[j] - hh * f;
-          for (size_t k = 0; k <= j; ++k) {
-            (*z)(j, k) -= f * (*e)[k] + g * (*z)(i, k);
-          }
+          double* zj = z->Row(j);
+          for (size_t k = 0; k <= j; ++k) zj[k] -= f * (*e)[k] + g * u[k];
         }
       }
     } else {
@@ -258,31 +303,88 @@ void Tridiagonalize(Matrix* z, std::vector<double>* d, std::vector<double>* e) {
   }
   (*d)[0] = 0.0;
   (*e)[0] = 0.0;
+  // Accumulate the transform in transposed storage: t(j, k) holds z(k, j).
   for (size_t i = 0; i < n; ++i) {
-    size_t l = i;  // Columns [0, i) already transformed.
+    for (size_t j = i + 1; j < n; ++j) std::swap((*z)(i, j), (*z)(j, i));
+  }
+  Matrix& t = *z;
+  std::vector<double> u(n);
+  for (size_t i = 0; i < n; ++i) {
+    size_t l = i;  // Rows [0, i) already transformed.
     if ((*d)[i] != 0.0) {
-      for (size_t j = 0; j < l; ++j) {
-        double g = 0.0;
-        for (size_t k = 0; k < l; ++k) g += (*z)(i, k) * (*z)(k, j);
-        for (size_t k = 0; k < l; ++k) (*z)(k, j) -= g * (*z)(k, i);
+      const double* ti = t.Row(i);  // u / h, from the reduction above.
+      for (size_t k = 0; k < l; ++k) u[k] = t(k, i);
+      // Rows are independent: each takes its own dot with u (one serial sum
+      // in k order), then its own update. Four rows' sums run interleaved.
+      auto update_rows = [&](size_t j0, size_t j1) {
+        size_t j = j0;
+        for (; j + 4 <= j1; j += 4) {
+          double* t0 = t.Row(j);
+          double* t1 = t.Row(j + 1);
+          double* t2 = t.Row(j + 2);
+          double* t3 = t.Row(j + 3);
+          double g0 = 0.0, g1 = 0.0, g2 = 0.0, g3 = 0.0;
+          for (size_t k = 0; k < l; ++k) {
+            g0 += u[k] * t0[k];
+            g1 += u[k] * t1[k];
+            g2 += u[k] * t2[k];
+            g3 += u[k] * t3[k];
+          }
+          for (size_t k = 0; k < l; ++k) {
+            t0[k] -= g0 * ti[k];
+            t1[k] -= g1 * ti[k];
+            t2[k] -= g2 * ti[k];
+            t3[k] -= g3 * ti[k];
+          }
+        }
+        for (; j < j1; ++j) {
+          double* tj = t.Row(j);
+          double g = 0.0;
+          for (size_t k = 0; k < l; ++k) g += u[k] * tj[k];
+          for (size_t k = 0; k < l; ++k) tj[k] -= g * ti[k];
+        }
+      };
+      // Slices of 32 rows fan out over the pool once a step is big enough
+      // to pay for it.
+      constexpr size_t kRowsPerSlice = 32;
+      size_t slices = (l + kRowsPerSlice - 1) / kRowsPerSlice;
+      if (l * l < kMinPooledWork) {
+        update_rows(0, l);
+      } else {
+        ParallelFor(slices, [&](size_t c) {
+          update_rows(c * kRowsPerSlice, std::min(l, (c + 1) * kRowsPerSlice));
+        });
       }
     }
-    (*d)[i] = (*z)(i, i);
-    (*z)(i, i) = 1.0;
+    (*d)[i] = t(i, i);
+    t(i, i) = 1.0;
     for (size_t j = 0; j < l; ++j) {
-      (*z)(j, i) = 0.0;
-      (*z)(i, j) = 0.0;
+      t(i, j) = 0.0;
+      t(j, i) = 0.0;
     }
   }
 }
 
 /// Implicit-shift QL on the tridiagonal (d, e), accumulating rotations
-/// into z's columns.
-bool TridiagonalQl(std::vector<double>* d, std::vector<double>* e, Matrix* z) {
+/// into the rows of the transposed transform `t`.
+bool TridiagonalQl(std::vector<double>* d, std::vector<double>* e, Matrix* t) {
   size_t n = d->size();
   if (n == 0) return true;
   for (size_t i = 1; i < n; ++i) (*e)[i - 1] = (*e)[i];
   (*e)[n - 1] = 0.0;
+  // The split test is relative to the two diagonal entries, which a cluster
+  // of eigenvalues near zero (a centered kernel always has one) may never
+  // meet: their off-diagonal stays at the rounding level of the whole
+  // matrix. After kRelativeIterations on one eigenvalue the test also
+  // accepts an off-diagonal below that level; a split that converges
+  // without it never reaches this branch, so its result is unchanged.
+  constexpr int kRelativeIterations = 50;
+  constexpr int kMaxIterations = 100;
+  double norm = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    norm = std::max(norm, std::abs((*d)[i]) + std::abs((*e)[i]));
+  }
+  double negligible = std::numeric_limits<double>::epsilon() * norm;
   for (size_t l = 0; l < n; ++l) {
     int iterations = 0;
     size_t m;
@@ -290,9 +392,10 @@ bool TridiagonalQl(std::vector<double>* d, std::vector<double>* e, Matrix* z) {
       for (m = l; m + 1 < n; ++m) {
         double dd = std::abs((*d)[m]) + std::abs((*d)[m + 1]);
         if (std::abs((*e)[m]) <= 1e-15 * dd) break;
+        if (iterations >= kRelativeIterations && std::abs((*e)[m]) <= negligible) break;
       }
       if (m != l) {
-        if (iterations++ == 50) return false;
+        if (iterations++ == kMaxIterations) return false;
         double g = ((*d)[l + 1] - (*d)[l]) / (2.0 * (*e)[l]);
         double r = Hypot(g, 1.0);
         double sign_r = g >= 0.0 ? std::abs(r) : -std::abs(r);
@@ -319,10 +422,12 @@ bool TridiagonalQl(std::vector<double>* d, std::vector<double>* e, Matrix* z) {
           p = s * r;
           (*d)[ii + 1] = g + p;
           g = c * r - b;
+          double* lo = t->Row(ii);
+          double* hi = t->Row(ii + 1);
           for (size_t k = 0; k < n; ++k) {
-            f = (*z)(k, ii + 1);
-            (*z)(k, ii + 1) = s * (*z)(k, ii) + c * f;
-            (*z)(k, ii) = c * (*z)(k, ii) - s * f;
+            double v = hi[k];
+            hi[k] = s * lo[k] + c * v;
+            lo[k] = c * lo[k] - s * v;
           }
         }
         if (broke_early) continue;
@@ -340,13 +445,19 @@ bool TridiagonalQl(std::vector<double>* d, std::vector<double>* e, Matrix* z) {
 EigenResult SymmetricEigen(const Matrix& a) {
   assert(a.rows() == a.cols());
   EigenResult result;
-  result.vectors = a;
+  if (!a.AllFinite()) {
+    result.status = Status::InvalidArgument("SymmetricEigen: non-finite input");
+    return result;
+  }
+  Matrix t = a;
   std::vector<double> e;
-  Tridiagonalize(&result.vectors, &result.values, &e);
-  bool ok = TridiagonalQl(&result.values, &e, &result.vectors);
-  assert(ok && "QL iteration failed to converge");
-  (void)ok;
-  // Sort ascending by eigenvalue, permuting eigenvector columns.
+  Tridiagonalize(&t, &result.values, &e);
+  if (!TridiagonalQl(&result.values, &e, &t)) {
+    result.status = Status::Internal("SymmetricEigen: QL iteration did not converge");
+    result.values.clear();
+    return result;
+  }
+  // Sort ascending by eigenvalue; eigenvector j is row order[j] of t.
   size_t n = result.values.size();
   std::vector<size_t> order(n);
   for (size_t i = 0; i < n; ++i) order[i] = i;
@@ -354,13 +465,13 @@ EigenResult SymmetricEigen(const Matrix& a) {
     return result.values[x] < result.values[y];
   });
   std::vector<double> sorted_values(n);
-  Matrix sorted_vectors(n, n);
+  result.vectors = Matrix(n, n);
   for (size_t j = 0; j < n; ++j) {
     sorted_values[j] = result.values[order[j]];
-    for (size_t i = 0; i < n; ++i) sorted_vectors(i, j) = result.vectors(i, order[j]);
+    const double* v = t.Row(order[j]);
+    for (size_t i = 0; i < n; ++i) result.vectors(i, j) = v[i];
   }
   result.values = std::move(sorted_values);
-  result.vectors = std::move(sorted_vectors);
   return result;
 }
 

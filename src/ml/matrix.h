@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "util/status.h"
+
 namespace semdrift {
 
 /// Dense row-major matrix of doubles. Sized for this library's needs
@@ -87,14 +89,18 @@ bool LuSolve(const Matrix& a, const std::vector<double>& b, std::vector<double>*
 
 /// Result of a symmetric eigendecomposition: A = V diag(values) V^T, with
 /// eigenvalues ascending and eigenvectors in the *columns* of `vectors`.
+/// When `status` is not OK (non-finite input, or the QL iteration did not
+/// converge) `values` and `vectors` are empty.
 struct EigenResult {
   std::vector<double> values;
   Matrix vectors;
+  Status status;
 };
 
 /// Eigendecomposition of a symmetric matrix via Householder
 /// tridiagonalization followed by implicit-shift QL. O(n^3); accurate for
-/// the kernel matrices used here. Precondition: `a` square and symmetric.
+/// the kernel matrices used here. Precondition: `a` square and symmetric
+/// (the reduction reads its lower triangle).
 EigenResult SymmetricEigen(const Matrix& a);
 
 }  // namespace semdrift

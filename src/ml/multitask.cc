@@ -1,7 +1,11 @@
 #include "ml/multitask.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string>
+
+#include "util/thread_pool.h"
 
 namespace semdrift {
 
@@ -46,16 +50,13 @@ std::vector<double> SharedColumnNorms(const std::vector<Matrix>& w) {
 
 Matrix TrainSemiSupervised(const LearningTask& task, const Matrix& a,
                            const MultiTaskOptions& options) {
-  size_t r = a.rows();
-  assert(task.xl.cols() == r);
+  assert(task.xl.cols() == a.rows());
   Matrix lhs = GramOfLabeled(task);
   lhs.AddInPlace(a, options.lambda);
   lhs.AddDiagonal(options.lambda * options.beta);
   Matrix rhs = CrossOfLabeled(task);
   Matrix wc;
-  bool ok = CholeskySolveMatrix(lhs, rhs, &wc);
-  assert(ok && "Eq. 15 system must be positive definite");
-  (void)ok;
+  if (!CholeskySolveMatrix(lhs, rhs, &wc)) return Matrix();
   return wc;
 }
 
@@ -64,21 +65,30 @@ Matrix TrainRidge(const LearningTask& task, const MultiTaskOptions& options) {
   lhs.AddDiagonal(std::max(options.lambda * options.beta, 1e-8));
   Matrix rhs = CrossOfLabeled(task);
   Matrix wc;
-  bool ok = CholeskySolveMatrix(lhs, rhs, &wc);
-  assert(ok);
-  (void)ok;
+  if (!CholeskySolveMatrix(lhs, rhs, &wc)) return Matrix();
   return wc;
 }
 
 double MultiTaskObjective(const std::vector<LearningTask>& tasks, const Matrix& a,
                           const std::vector<Matrix>& w,
                           const MultiTaskOptions& options) {
+  // Per-task terms fan out; the sums below add them in task order, exactly
+  // as a serial loop would.
+  struct Terms {
+    double fit = 0.0;
+    double manifold = 0.0;
+    double frobenius = 0.0;
+  };
+  std::vector<Terms> terms = ParallelMap<Terms>(tasks.size(), [&](size_t c) {
+    return Terms{FitLoss(tasks[c], w[c]), ManifoldTerm(a, w[c]),
+                 w[c].FrobeniusNormSq()};
+  });
   double objective = 0.0;
   double frobenius = 0.0;
-  for (size_t c = 0; c < tasks.size(); ++c) {
-    objective += FitLoss(tasks[c], w[c]);
-    objective += options.lambda * ManifoldTerm(a, w[c]);
-    frobenius += w[c].FrobeniusNormSq();
+  for (const Terms& t : terms) {
+    objective += t.fit;
+    objective += options.lambda * t.manifold;
+    frobenius += t.frobenius;
   }
   double l21 = 0.0;
   for (double norm : SharedColumnNorms(w)) l21 += norm;
@@ -106,35 +116,47 @@ MultiTaskResult TrainMultiTask(const std::vector<LearningTask>& tasks,
     result.w.push_back(std::move(wc));
   }
 
-  // Precompute per-task constants.
-  std::vector<Matrix> grams, crosses;
-  grams.reserve(tasks.size());
-  crosses.reserve(tasks.size());
-  for (const LearningTask& task : tasks) {
-    grams.push_back(GramOfLabeled(task));
-    crosses.push_back(CrossOfLabeled(task));
-  }
+  // Per-task constants: Xl^T Xl + lambda A (the iteration-invariant part of
+  // the Eq. 20 system) and Xl^T Y. The r x r systems are allocated here, on
+  // the calling thread, and the pool copies into them rather than moving a
+  // worker's buffer in: they outlive the loop, and spreading them over the
+  // workers' allocator arenas would raise peak RSS.
+  std::vector<Matrix> bases(tasks.size(), Matrix(r, r));
+  std::vector<Matrix> crosses(tasks.size(), Matrix(r, outputs));
+  ParallelFor(tasks.size(), [&](size_t c) {
+    Matrix base = GramOfLabeled(tasks[c]);
+    base.AddInPlace(a, options.lambda);
+    bases[c] = base;
+    crosses[c] = CrossOfLabeled(tasks[c]);
+  });
 
   double previous = MultiTaskObjective(tasks, a, result.w, options);
   result.objective_trace.push_back(previous);
+  std::vector<char> solved(tasks.size());
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     // D_ii = 1 / (2 ||w_i||), shared across tasks.
     std::vector<double> norms = SharedColumnNorms(result.w);
     // Wc = (Xl Xl^T + lambda A + lambda beta D + lambda gamma I)^(-1) Xl Yc
-    // (Eq. 20; our orientation uses Xl^T Xl etc., rows = samples).
-    for (size_t c = 0; c < tasks.size(); ++c) {
-      Matrix lhs = grams[c];
-      lhs.AddInPlace(a, options.lambda);
+    // (Eq. 20; our orientation uses Xl^T Xl etc., rows = samples). The
+    // per-task systems only share the norms above, so they solve in
+    // parallel.
+    ParallelFor(tasks.size(), [&](size_t c) {
+      Matrix lhs = bases[c];
       for (size_t i = 0; i < r; ++i) {
         double d_ii = 1.0 / (2.0 * std::max(norms[i], options.norm_floor));
         lhs(i, i) += options.lambda * options.beta * d_ii;
       }
       lhs.AddDiagonal(options.lambda * options.gamma);
       Matrix wc;
-      bool ok = CholeskySolveMatrix(lhs, crosses[c], &wc);
-      assert(ok && "Eq. 20 system must be positive definite");
-      (void)ok;
-      result.w[c] = std::move(wc);
+      solved[c] = CholeskySolveMatrix(lhs, crosses[c], &wc);
+      if (solved[c]) result.w[c] = std::move(wc);
+    });
+    for (size_t c = 0; c < tasks.size(); ++c) {
+      if (solved[c]) continue;
+      result.status = Status::Internal("Eq. 20 system of task " + std::to_string(c) +
+                                       " is not positive definite (iteration " +
+                                       std::to_string(iter) + ")");
+      return result;
     }
     double objective = MultiTaskObjective(tasks, a, result.w, options);
     result.objective_trace.push_back(objective);

@@ -123,6 +123,8 @@ TEST(SemiSupervisedDetectorTest, LearnsWithUnlabeledMass) {
 }
 
 TEST(MultiTaskDetectorTest, LearnsAcrossConcepts) {
+  // This pool's centered kernel only converges through the QL solver's
+  // norm-relative split test (SymmetricEigen); without it KPCA fails.
   TrainingData labeled = MakePlantedData(5, 20, 9, 0.0);
   TrainingData data = MakePlantedData(5, 20, 9, 0.6);
   DetectorTrainOptions options;

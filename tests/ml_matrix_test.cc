@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "ml/matrix.h"
 #include "util/rng.h"
@@ -221,6 +222,18 @@ TEST(EigenTest, SingleElement) {
   ASSERT_EQ(eigen.values.size(), 1u);
   EXPECT_NEAR(eigen.values[0], 5.0, 1e-12);
   EXPECT_NEAR(std::abs(eigen.vectors(0, 0)), 1.0, 1e-12);
+}
+
+TEST(EigenTest, NonFiniteInputReportsStatus) {
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    Matrix a = Matrix::Identity(4);
+    a(2, 1) = bad;
+    EigenResult eigen = SymmetricEigen(a);
+    EXPECT_FALSE(eigen.status.ok()) << bad;
+    EXPECT_TRUE(eigen.values.empty());
+    EXPECT_EQ(eigen.vectors.rows(), 0u);
+  }
+  EXPECT_TRUE(SymmetricEigen(Matrix::Identity(4)).status.ok());
 }
 
 class EigenPropertyTest : public ::testing::TestWithParam<size_t> {};

@@ -163,6 +163,24 @@ TEST(MultiTaskTest, ObjectiveValueMatchesHelper) {
   EXPECT_NEAR(recomputed, result.objective_trace.back(), 1e-9);
 }
 
+TEST(MultiTaskTest, NonFiniteRegularizerReportsStatus) {
+  // A NaN in the manifold regularizer poisons every Eq. 20 system; the
+  // failure comes back as a status rather than as NaN weights.
+  Rng rng(23);
+  std::vector<LearningTask> tasks;
+  for (int t = 0; t < 3; ++t) tasks.push_back(MakeSeparableTask(12, 3, &rng));
+  Matrix a(3, 3);
+  a(1, 1) = std::nan("");
+  MultiTaskOptions options;
+  MultiTaskResult result = TrainMultiTask(tasks, a, options);
+  EXPECT_FALSE(result.status.ok());
+  EXPECT_EQ(result.status.code(), Status::Code::kInternal);
+  // The Eq. 15 single-task solve reports the same failure as an empty W.
+  EXPECT_EQ(TrainSemiSupervised(tasks[0], a, options).rows(), 0u);
+  a(1, 1) = 0.0;
+  EXPECT_TRUE(TrainMultiTask(tasks, a, options).status.ok());
+}
+
 TEST(PredictClassTest, PicksArgmaxColumn) {
   Matrix w(2, 3);
   w(0, 0) = 1.0;   // Class 0 score = x0.

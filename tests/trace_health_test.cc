@@ -3,7 +3,8 @@
 // mutation, so replaying them into a fresh RunHealthReport reproduces the
 // run's report exactly (ToLines() equality). Also pins the determinism
 // contract: the deterministic span fields (CanonicalLine) are identical at
-// any thread count.
+// any thread count. The default (unsupervised) clean is attributable too:
+// it emits its detector-train and classify spans from the calling thread.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "dp/cleaner.h"
 #include "eval/experiment.h"
 #include "obs/trace.h"
+#include "serve/snapshot.h"
 #include "util/fault_injection.h"
 #include "util/supervisor.h"
 #include "util/thread_pool.h"
@@ -140,6 +142,62 @@ TEST(TraceHealthTest, DeterministicSpanFieldsAreThreadCountInvariant) {
         << "span " << i << " diverges across thread counts";
   }
   EXPECT_EQ(one.health_lines, four.health_lines);
+}
+
+TEST(TraceHealthTest, UnsupervisedCleanTracesTrainAndScoreWithoutChangingOutput) {
+  ExperimentConfig config = PaperScaleConfig(0.05);
+  auto experiment = Experiment::Build(config);
+  std::vector<ConceptId> scope = experiment->EvalConcepts();
+  CleanerOptions options;
+  options.max_rounds = 2;
+  DpCleaner cleaner(&experiment->corpus().sentences,
+                    experiment->MakeVerifiedSource(),
+                    experiment->world().num_concepts(), options);
+
+  struct Run {
+    CleaningReport report;
+    std::string image;
+    std::vector<TraceSpan> spans;
+  };
+  auto clean = [&](bool traced) {
+    Run run;
+    KnowledgeBase kb = experiment->Extract();
+    GlobalTrace().Clear();
+    GlobalTrace().Enable(traced);
+    run.report = cleaner.Clean(&kb, scope);
+    GlobalTrace().Enable(false);
+    run.spans = GlobalTrace().Snapshot();
+    GlobalTrace().Clear();
+    Result<std::string> image = BuildSnapshotImage(
+        CompileSnapshotParts(kb, experiment->world(), nullptr, SnapshotOptions{}));
+    EXPECT_TRUE(image.ok()) << image.status().ToString();
+    if (image.ok()) run.image = std::move(*image);
+    return run;
+  };
+  Run plain = clean(/*traced=*/false);
+  Run traced = clean(/*traced=*/true);
+
+  EXPECT_TRUE(plain.spans.empty());
+  size_t train_spans = 0, score_spans = 0;
+  for (const TraceSpan& s : traced.spans) {
+    if (s.name == "detector.train") {
+      ++train_spans;
+      EXPECT_EQ(TagValue(s, "kind"), "semi-supervised-multitask");
+      EXPECT_EQ(s.outcome, "ok");
+    } else if (s.name == "score.batch") {
+      ++score_spans;
+      EXPECT_EQ(TagValue(s, "concepts"), std::to_string(scope.size()));
+    }
+  }
+  ASSERT_GT(traced.report.rounds, 0);
+  EXPECT_EQ(train_spans, static_cast<size_t>(traced.report.rounds));
+  EXPECT_EQ(score_spans, static_cast<size_t>(traced.report.rounds));
+
+  EXPECT_FALSE(plain.image.empty());
+  EXPECT_EQ(traced.image, plain.image);
+  EXPECT_EQ(traced.report.accidental_dps, plain.report.accidental_dps);
+  EXPECT_EQ(traced.report.intentional_dps, plain.report.intentional_dps);
+  EXPECT_EQ(traced.report.records_rolled_back, plain.report.records_rolled_back);
 }
 
 }  // namespace
