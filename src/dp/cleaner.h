@@ -68,8 +68,9 @@ struct CleaningReport {
   size_t live_pairs_after = 0;
 };
 
-/// Wiring for a supervised clean (util/supervisor.h): guarded stages,
-/// quarantine-aware scope filtering, and a per-round checkpoint callback.
+/// Wiring for CleanSupervised (util/supervisor.h): the supervisor whose
+/// policy guards the stages, the first round, and a per-round checkpoint
+/// callback.
 struct SupervisedCleanHooks {
   /// Required. Owns the policy, the fault plan and the health report.
   Supervisor* supervisor = nullptr;
@@ -100,7 +101,13 @@ class DpCleaner {
   DpCleaner(const SentenceStore* sentences, VerifiedSource verified,
             size_t num_concepts, CleanerOptions options = {});
 
-  /// Cleans `kb` in place over the given concept scope.
+  /// Cleans `kb` in place over the given concept scope. Runs the same
+  /// guarded round loop as CleanSupervised under a pass-through policy: no
+  /// deadline, no retries, no quarantine and no fault plan. A stage that
+  /// throws ends the clean with a std::runtime_error carrying the stage
+  /// error; data-caused degradations (a detector that trains nothing from
+  /// labeled rows falls back down the ad-hoc ladder, a non-finite feature
+  /// row is dropped) are logged as a health table at warning level.
   CleaningReport Clean(KnowledgeBase* kb, const std::vector<ConceptId>& scope) const;
 
   /// Scoped re-cleaning entry point for incremental (streaming) epochs:
@@ -116,12 +123,14 @@ class DpCleaner {
   CleaningReport CleanDirty(KnowledgeBase* kb, const std::vector<ConceptId>& dirty,
                             const std::vector<ConceptId>& within) const;
 
-  /// Cleans under a supervision layer: score warm-up, training-data
-  /// collection, detector training and per-concept classification each run
-  /// inside a StageGuard; quarantined concepts drop out of the live scope
-  /// between stages; hooks.on_round fires after each completed round. With
-  /// no fault injected and no stage failing, the KB and report are
-  /// bit-identical to Clean() at any thread count.
+  /// Cleans under the caller's supervision policy: score warm-up,
+  /// training-data collection, detector training and per-concept
+  /// classification each run inside a StageGuard (as in Clean()); the
+  /// policy adds deadlines, retries, quarantine (quarantined concepts drop
+  /// out of the live scope between stages) and fault injection, and
+  /// hooks.on_round fires after each completed round. With no fault
+  /// injected and no stage failing, the KB and report are bit-identical to
+  /// Clean() at any thread count.
   Result<CleaningReport> CleanSupervised(KnowledgeBase* kb,
                                          const std::vector<ConceptId>& scope,
                                          const SupervisedCleanHooks& hooks) const;
@@ -129,11 +138,6 @@ class DpCleaner {
   const CleanerOptions& options() const { return options_; }
 
  private:
-  /// Shared round loop; `hooks == nullptr` is the plain unsupervised path.
-  Result<CleaningReport> CleanImpl(KnowledgeBase* kb,
-                                   const std::vector<ConceptId>& scope,
-                                   const SupervisedCleanHooks* hooks) const;
-
   const SentenceStore* sentences_;
   VerifiedSource verified_;
   size_t num_concepts_;

@@ -15,26 +15,55 @@ namespace semdrift {
 
 namespace {
 
-/// Worker-side gather instrumentation shared by the plain and supervised
-/// collectors (order-free atomics; safe from pool workers).
-struct CollectMetrics {
-  MetricsRegistry::Counter concepts;
-  MetricsRegistry::Counter instances;
-  MetricsRegistry::Histogram concept_ns;
-};
-
-CollectMetrics& GetCollectMetrics() {
-  static CollectMetrics metrics{
-      GlobalMetrics().RegisterCounter("collect.concepts"),
-      GlobalMetrics().RegisterCounter("collect.instances"),
-      GlobalMetrics().RegisterHistogram("collect.concept_ns", LatencyBucketsNs())};
-  return metrics;
-}
-
 uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                    std::chrono::steady_clock::now() - start)
                                    .count());
+}
+
+/// One concept's gather, with the rows whose feature vector is not finite
+/// set aside (and the reason kept) instead of poisoning the pool.
+struct Gathered {
+  ConceptTrainingData entry;
+  std::vector<DroppedInstance> drops;
+};
+
+/// The per-concept gather shared by the plain and guarded collectors.
+/// `poison` (fault injection) NaNs the first instance's f1. Records the
+/// order-free collect metrics, so it is safe from pool workers.
+Gathered GatherConcept(const KnowledgeBase& kb, FeatureExtractor* features,
+                       const SeedLabeler& seeds, ConceptId c, bool poison) {
+  static MetricsRegistry::Counter concepts =
+      GlobalMetrics().RegisterCounter("collect.concepts");
+  static MetricsRegistry::Counter instances =
+      GlobalMetrics().RegisterCounter("collect.instances");
+  static MetricsRegistry::Histogram concept_ns =
+      GlobalMetrics().RegisterHistogram("collect.concept_ns", LatencyBucketsNs());
+  auto start = std::chrono::steady_clock::now();
+  Gathered out;
+  out.entry.concept_id = c;
+  for (InstanceId e : kb.LiveInstancesOf(c)) {
+    PollCancellation("collect training data");
+    FeatureVector f = features->Extract(c, e);
+    if (poison) {
+      f[0] = std::numeric_limits<double>::quiet_NaN();
+      poison = false;  // One poisoned instance is enough.
+    }
+    int bad = FirstNonFiniteIndex(f);
+    if (bad >= 0) {
+      out.drops.push_back(DroppedInstance{
+          c.value, e.value, PipelineStage::kCollectTraining,
+          "non-finite feature f" + std::to_string(bad + 1)});
+      continue;
+    }
+    out.entry.instances.push_back(e);
+    out.entry.features.push_back(f);
+    out.entry.seed_labels.push_back(seeds.Label(c, e));
+  }
+  concepts.Add();
+  instances.Add(out.entry.instances.size());
+  concept_ns.Observe(static_cast<double>(ElapsedNs(start)));
+  return out;
 }
 
 }  // namespace
@@ -47,27 +76,13 @@ TrainingData CollectTrainingData(const KnowledgeBase& kb, FeatureExtractor* feat
   // below keeps the result identical to a serial loop at any thread count.
   ScopedSpan span(&GlobalTrace(), "collect.batch");
   span.AddTag("concepts", static_cast<uint64_t>(concepts.size()));
-  std::vector<ConceptTrainingData> per_concept =
-      ParallelMap<ConceptTrainingData>(concepts.size(), [&](size_t i) {
-        auto start = std::chrono::steady_clock::now();
-        ConceptId c = concepts[i];
-        ConceptTrainingData entry;
-        entry.concept_id = c;
-        for (InstanceId e : kb.LiveInstancesOf(c)) {
-          entry.instances.push_back(e);
-          entry.features.push_back(features->Extract(c, e));
-          entry.seed_labels.push_back(seeds.Label(c, e));
-        }
-        CollectMetrics& metrics = GetCollectMetrics();
-        metrics.concepts.Add();
-        metrics.instances.Add(entry.instances.size());
-        metrics.concept_ns.Observe(static_cast<double>(ElapsedNs(start)));
-        return entry;
-      });
+  std::vector<Gathered> per_concept = ParallelMap<Gathered>(
+      concepts.size(),
+      [&](size_t i) { return GatherConcept(kb, features, seeds, concepts[i], false); });
   TrainingData data;
   data.reserve(concepts.size());
-  for (ConceptTrainingData& entry : per_concept) {
-    if (!entry.instances.empty()) data.push_back(std::move(entry));
+  for (Gathered& gathered : per_concept) {
+    if (!gathered.entry.instances.empty()) data.push_back(std::move(gathered.entry));
   }
   return data;
 }
@@ -84,74 +99,24 @@ bool HasLabeled(const TrainingData& data) {
 Result<TrainingData> CollectTrainingDataSupervised(
     const KnowledgeBase& kb, FeatureExtractor* features, const SeedLabeler& seeds,
     const std::vector<ConceptId>& concepts, Supervisor* supervisor) {
-  struct Payload {
-    ConceptTrainingData entry;
-    std::vector<DroppedInstance> drops;
-  };
-  struct Slot {
-    Payload payload;
-    StageOutcome outcome;
-  };
-  // Guarded fan-out: each concept's gather runs its own attempt loop on a
-  // pool worker. Guards only observe; all health mutation happens in the
-  // ordered driver loop below, so the result is thread-count-invariant.
   ScopedSpan span(&GlobalTrace(), "collect.batch");
   span.AddTag("concepts", static_cast<uint64_t>(concepts.size()));
-  std::vector<Slot> slots = ParallelMap<Slot>(concepts.size(), [&](size_t i) {
-    ConceptId c = concepts[i];
-    Slot slot;
-    std::function<Payload(int)> body = [&, c](int attempt) {
-      auto start = std::chrono::steady_clock::now();
-      Payload payload;
-      payload.entry.concept_id = c;
-      bool poison = supervisor->NanFaultActive(PipelineStage::kCollectTraining,
-                                               c.value, attempt);
-      for (InstanceId e : kb.LiveInstancesOf(c)) {
-        PollCancellation("collect training data");
-        FeatureVector f = features->Extract(c, e);
-        if (poison) {
-          f[0] = std::numeric_limits<double>::quiet_NaN();
-          poison = false;  // One poisoned instance is enough.
-        }
-        int bad = FirstNonFiniteIndex(f);
-        if (bad >= 0) {
-          payload.drops.push_back(DroppedInstance{
-              c.value, e.value, PipelineStage::kCollectTraining,
-              "non-finite feature f" + std::to_string(bad + 1)});
-          continue;
-        }
-        payload.entry.instances.push_back(e);
-        payload.entry.features.push_back(f);
-        payload.entry.seed_labels.push_back(seeds.Label(c, e));
-      }
-      CollectMetrics& metrics = GetCollectMetrics();
-      metrics.concepts.Add();
-      metrics.instances.Add(payload.entry.instances.size());
-      metrics.concept_ns.Observe(static_cast<double>(ElapsedNs(start)));
-      return payload;
-    };
-    Payload value;
-    if (supervisor->RunGuarded<Payload>(PipelineStage::kCollectTraining, c.value,
-                                        body, {}, &value, &slot.outcome)) {
-      slot.payload = std::move(value);
-    }
-    return slot;
-  });
-
+  auto body = [&](ConceptId c, int attempt) {
+    return GatherConcept(
+        kb, features, seeds, c,
+        supervisor->NanFaultActive(PipelineStage::kCollectTraining, c.value, attempt));
+  };
   TrainingData data;
   data.reserve(concepts.size());
-  for (size_t i = 0; i < concepts.size(); ++i) {
-    Status merged = supervisor->MergeOutcome(PipelineStage::kCollectTraining,
-                                             concepts[i].value, slots[i].outcome);
-    if (!merged.ok()) return merged;
-    if (!slots[i].outcome.ok) continue;  // Quarantined: excluded from the pool.
-    for (const DroppedInstance& drop : slots[i].payload.drops) {
-      supervisor->health()->RecordDrop(drop);
-    }
-    if (!slots[i].payload.entry.instances.empty()) {
-      data.push_back(std::move(slots[i].payload.entry));
-    }
-  }
+  Status merged = supervisor->RunGuardedEach<Gathered>(
+      PipelineStage::kCollectTraining, concepts, body, {},
+      [&](ConceptId, Gathered&& gathered) {
+        for (const DroppedInstance& drop : gathered.drops) {
+          supervisor->health()->RecordDrop(drop);
+        }
+        if (!gathered.entry.instances.empty()) data.push_back(std::move(gathered.entry));
+      });
+  if (!merged.ok()) return merged;
   return data;
 }
 
@@ -333,8 +298,8 @@ std::unique_ptr<DpDetector> TrainForest(const std::vector<LabeledSample>& labele
   Status fit = forest.Fit(x, y, /*num_classes=*/3, options);
   if (!fit.ok()) {
     // Degenerate training input (e.g. every labeled row NaN-dropped). Same
-    // nullptr contract as "nothing to train on"; the supervised path's
-    // fallback ladder takes it from here.
+    // nullptr contract as "nothing to train on"; the cleaner's fallback
+    // ladder takes it from here.
     metrics.fit_errors.Add();
     return nullptr;
   }
@@ -389,6 +354,7 @@ std::unique_ptr<DpDetector> TrainLinearKpca(const TrainingData& data,
   // 3. Shared manifold regularizer over the pooled representation (Eq. 17).
   Matrix pool_projected = kpca.TransformMatrix(pool_matrix);
   Matrix a = BuildManifoldRegularizer(pool_projected, options.manifold);
+  if (a.rows() == 0) return nullptr;  // A local inverse failed.
 
   // 4. One learning task per concept with labeled data. The tasks are
   //    allocated here in concept order; the pool then projects each task's
@@ -427,7 +393,7 @@ std::unique_ptr<DpDetector> TrainLinearKpca(const TrainingData& data,
 
   // 5. Train (Eq. 15 independently, or Eq. 18 / Algorithm 1 jointly). A
   //    system that is not positive definite yields no detector, which sends
-  //    the supervised path down its fallback ladder.
+  //    the cleaner down its fallback ladder.
   std::vector<Matrix> w;
   if (multitask) {
     MultiTaskResult result = TrainMultiTask(tasks, a, options.multitask);
@@ -528,17 +494,16 @@ Result<SupervisedTrainResult> TrainDetectorSupervised(
     (void)attempt;
     return TrainDetector(kind, data, options);
   };
+  const std::string kNoDetector = "training produced no detector";
   std::function<std::string(const std::unique_ptr<DpDetector>&)> validate =
-      [](const std::unique_ptr<DpDetector>& detector) {
-        return detector != nullptr ? std::string()
-                                   : std::string("training produced no detector");
+      [&](const std::unique_ptr<DpDetector>& detector) {
+        return detector != nullptr ? std::string() : kNoDetector;
       };
   StageOutcome outcome;
   std::unique_ptr<DpDetector> trained;
   supervisor->RunGuarded<std::unique_ptr<DpDetector>>(
       PipelineStage::kDetectorTrain, ComputeFaultPlan::kGlobalScope, body, validate,
       &trained, &outcome);
-  result.retries = outcome.retries;
   if (outcome.ok) {
     span.SetOutcome(outcome.retries > 0 ? "retried" : "ok");
     result.detector = std::move(trained);
@@ -553,7 +518,6 @@ Result<SupervisedTrainResult> TrainDetectorSupervised(
     if (fallback == kind) continue;
     result.detector = TrainDetector(fallback, data, options);
     if (result.detector != nullptr) {
-      result.fell_back = true;
       result.detail = std::string(DetectorKindName(kind)) + " failed (" +
                       outcome.error + "); fell back to " +
                       DetectorKindName(fallback);
@@ -562,11 +526,13 @@ Result<SupervisedTrainResult> TrainDetectorSupervised(
     }
   }
 
-  // Even the ladder failed. Fail-fast mode surfaces the primary error;
-  // quarantine mode records the degradation and returns no detector (the
-  // cleaner stops cleaning, which is the maximal graceful degradation).
+  // Even the ladder failed. A primary that threw or stalled is a stage
+  // fault, which fail-fast mode surfaces. Otherwise — quarantine mode, or
+  // a pool that nothing can be trained on (too small, one class) — the
+  // degradation is recorded and no detector returned: like a pool without
+  // labels, the cleaner keeps the previous detector or stops cleaning.
   span.SetOutcome("failed");
-  if (!supervisor->options().quarantine) {
+  if (!supervisor->options().quarantine && outcome.error != kNoDetector) {
     return Status::Internal("detector training failed after " +
                             std::to_string(outcome.retries) +
                             " retries and no fallback trained: " + outcome.error);

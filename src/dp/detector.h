@@ -40,7 +40,9 @@ struct ConceptTrainingData {
 
 using TrainingData = std::vector<ConceptTrainingData>;
 
-/// Gathers training data for the given concepts from live KB state.
+/// Gathers training data for the given concepts from live KB state. Rows
+/// whose feature vector holds NaN/Inf are left out (the guarded collector
+/// below shares this gather and reports them).
 TrainingData CollectTrainingData(const KnowledgeBase& kb, FeatureExtractor* features,
                                  const SeedLabeler& seeds,
                                  const std::vector<ConceptId>& concepts);
@@ -49,11 +51,11 @@ TrainingData CollectTrainingData(const KnowledgeBase& kb, FeatureExtractor* feat
 bool HasLabeled(const TrainingData& data);
 
 /// CollectTrainingData under supervision: each concept's gather runs in a
-/// StageGuard (deadline + retries + planned faults); instances whose feature
-/// vector contains NaN/Inf are dropped with provenance instead of poisoning
-/// the pool; exhausted concepts are quarantined (or, fail-fast, abort with
-/// the error). With no faults and no failures the result is bit-identical
-/// to CollectTrainingData.
+/// StageGuard (deadline + retries + planned faults); the rows left out for
+/// NaN/Inf features are recorded as drops with provenance; exhausted
+/// concepts are quarantined (or, fail-fast, abort with the error). With no
+/// faults and no failures the result is bit-identical to
+/// CollectTrainingData.
 Result<TrainingData> CollectTrainingDataSupervised(
     const KnowledgeBase& kb, FeatureExtractor* features, const SeedLabeler& seeds,
     const std::vector<ConceptId>& concepts, Supervisor* supervisor);
@@ -97,9 +99,7 @@ std::unique_ptr<DpDetector> TrainDetector(DetectorKind kind, const TrainingData&
 /// TrainDetector) or when even the fallback ladder failed.
 struct SupervisedTrainResult {
   std::unique_ptr<DpDetector> detector;
-  /// The requested kind failed and an ad-hoc fallback was trained instead.
-  bool fell_back = false;
-  int retries = 0;
+  /// Why the requested kind was not trained (empty when it was).
   std::string detail;
 };
 
@@ -108,8 +108,10 @@ struct SupervisedTrainResult {
 /// global stage). A failed or nullptr-producing train is retried, then
 /// degraded down the ad-hoc ladder (kAdHoc3, kAdHoc1) — the simplest
 /// detectors with no numeric fitting to fail — and recorded as a detector
-/// fallback in the health report. Fail-fast mode (quarantine off) returns
-/// the error instead.
+/// fallback in the health report. When the ladder trains nothing either,
+/// fail-fast mode (quarantine off) returns the error of a primary that threw
+/// or stalled; a primary that merely trained nothing (an untrainable pool)
+/// returns no detector, as a pool without labels does.
 Result<SupervisedTrainResult> TrainDetectorSupervised(
     DetectorKind kind, const TrainingData& data, const DetectorTrainOptions& options,
     Supervisor* supervisor);

@@ -1,7 +1,5 @@
 #include "ml/manifold.h"
 
-#include <cassert>
-
 #include "ml/knn.h"
 #include "util/thread_pool.h"
 
@@ -10,7 +8,7 @@ namespace semdrift {
 Matrix BuildManifoldRegularizer(const Matrix& x, const ManifoldOptions& options) {
   size_t n = x.rows();
   size_t r = x.cols();
-  assert(n > 0 && r > 0);
+  if (n == 0 || r == 0) return Matrix();
   auto neighborhoods = KNearestNeighbors(x, options.k);
 
   // L_i per neighborhood, computed independently across the pool; the
@@ -51,13 +49,15 @@ Matrix BuildManifoldRegularizer(const Matrix& x, const ManifoldOptions& options)
     c.AddDiagonal(options.local_lambda);
     // L_i = lambda (HGH + lambda I)^(-1) - (1/m) 1 1^T  (Woodbury form of
     // Eq. 14). Invert via Cholesky solve against the identity.
+    // A system that is not positive definite leaves li empty.
     Matrix li;
-    bool ok = CholeskySolveMatrix(c, Matrix::Identity(m), &li);
-    assert(ok && "HGH + lambda I must be positive definite");
-    (void)ok;
+    if (!CholeskySolveMatrix(c, Matrix::Identity(m), &li)) return Matrix();
     li.Scale(options.local_lambda);
     return li;
   });
+  for (const Matrix& li : locals) {
+    if (li.rows() == 0) return Matrix();
+  }
   Matrix m_acc(n, n);
   for (size_t i = 0; i < n; ++i) {
     const std::vector<size_t>& nb = neighborhoods[i];

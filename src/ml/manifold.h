@@ -25,6 +25,10 @@ struct ManifoldOptions {
 ///     L_i = lambda (H G_i H + lambda I)^(-1) - (1/(k+1)) 1 1^T,
 /// where G_i = X~_i^T X~_i, so cost is O(n (k^3 + k^2 r) + n^2 r) instead of
 /// O(n r^3).
+///
+/// Returns an empty Matrix when `x` is empty or some H G_i H + lambda I is
+/// not positive definite (any lambda < 0 makes it so: H G_i H has the
+/// constant vector in its null space).
 Matrix BuildManifoldRegularizer(const Matrix& x, const ManifoldOptions& options);
 
 }  // namespace semdrift

@@ -2,11 +2,13 @@
 
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/cancellation.h"
+#include "util/supervisor.h"
 #include "util/thread_pool.h"
 
 namespace semdrift {
@@ -149,12 +151,9 @@ std::vector<double> ScoreGraph(const ConceptGraph& graph, RankModel model,
 std::unordered_map<InstanceId, double> ScoreConcept(const KnowledgeBase& kb,
                                                     ConceptId c, RankModel model,
                                                     const WalkParams& params) {
-  ConceptGraph graph = ConceptGraph::Build(kb, c);
-  std::vector<double> scores = ScoreGraph(graph, model, params);
-  std::unordered_map<InstanceId, double> out;
-  out.reserve(scores.size());
-  for (size_t i = 0; i < scores.size(); ++i) out.emplace(graph.node(i), scores[i]);
-  return out;
+  // Converged scores pass the check untouched; a non-converged vector is
+  // L1-normalised already, so the [0, 1] cap only zeroes non-finite entries.
+  return ScoreConceptChecked(kb, c, model, params).scores;
 }
 
 ConceptScores ScoreConceptChecked(const KnowledgeBase& kb, ConceptId c,
@@ -167,8 +166,7 @@ ConceptScores ScoreConceptChecked(const KnowledgeBase& kb, ConceptId c,
   out.iterations = walk.iterations;
   if (!walk.converged) {
     // Only a non-converged vector gets sanitized: it can carry overshoot or
-    // non-finite junk. A converged result is returned untouched, keeping the
-    // checked path bit-identical to ScoreConcept when nothing went wrong.
+    // non-finite junk. A converged result is returned untouched.
     for (double& s : scores) {
       if (!(s == s) || s - s != 0.0) {
         s = 0.0;  // NaN / +-Inf.
@@ -210,6 +208,35 @@ const std::unordered_map<InstanceId, double>& ScoreCache::Concept(ConceptId c) c
   return *it->second;
 }
 
+namespace {
+
+/// The per-concept warm body shared by ScoreCache's plain and guarded warm
+/// drivers: one checked walk, timed into the order-free warm metrics.
+ConceptScores WarmConcept(const KnowledgeBase& kb, ConceptId c, RankModel model,
+                          const WalkParams& params) {
+  static MetricsRegistry::Counter warm_concepts =
+      GlobalMetrics().RegisterCounter("warm.concepts");
+  static MetricsRegistry::Histogram warm_concept_ns =
+      GlobalMetrics().RegisterHistogram("warm.concept_ns", LatencyBucketsNs());
+  auto start = std::chrono::steady_clock::now();
+  ConceptScores scores = ScoreConceptChecked(kb, c, model, params);
+  warm_concepts.Add();
+  warm_concept_ns.Observe(static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count()));
+  return scores;
+}
+
+}  // namespace
+
+void ScoreCache::Insert(ConceptId c, std::unordered_map<InstanceId, double> scores) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // emplace is first-insert-wins: an already-cached concept keeps its map.
+  cache_.emplace(c.value, std::make_unique<std::unordered_map<InstanceId, double>>(
+                              std::move(scores)));
+}
+
 void ScoreCache::Warm(const std::vector<ConceptId>& concepts) {
   // Skip concepts already cached, then build the rest concurrently — each
   // concept's graph build + walk is independent. Results are inserted in
@@ -223,38 +250,49 @@ void ScoreCache::Warm(const std::vector<ConceptId>& concepts) {
     }
   }
   if (missing.empty()) return;
-  // Per-concept timing comes from the workers (order-free atomics); the
-  // driver-side span covers the whole warm batch.
-  static MetricsRegistry::Counter warm_concepts =
-      GlobalMetrics().RegisterCounter("warm.concepts");
-  static MetricsRegistry::Histogram warm_concept_ns =
-      GlobalMetrics().RegisterHistogram("warm.concept_ns", LatencyBucketsNs());
   ScopedSpan span(&GlobalTrace(), "warm.batch");
   span.AddTag("concepts", static_cast<uint64_t>(missing.size()));
-  auto computed =
-      ParallelMap<std::unordered_map<InstanceId, double>>(missing.size(), [&](size_t i) {
-        auto start = std::chrono::steady_clock::now();
-        auto scores = ScoreConcept(*kb_, missing[i], model_, params_);
-        warm_concepts.Add();
-        warm_concept_ns.Observe(static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count()));
-        return scores;
+  std::vector<ConceptScores> computed =
+      ParallelMap<ConceptScores>(missing.size(), [&](size_t i) {
+        return WarmConcept(*kb_, missing[i], model_, params_);
       });
-  std::lock_guard<std::mutex> lock(mu_);
   for (size_t i = 0; i < missing.size(); ++i) {
-    cache_.emplace(missing[i].value,
-                   std::make_unique<std::unordered_map<InstanceId, double>>(
-                       std::move(computed[i])));
+    Insert(missing[i], std::move(computed[i].scores));
   }
 }
 
-void ScoreCache::Insert(ConceptId c, std::unordered_map<InstanceId, double> scores) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // emplace is first-insert-wins: an already-cached concept keeps its map.
-  cache_.emplace(c.value, std::make_unique<std::unordered_map<InstanceId, double>>(
-                              std::move(scores)));
+Status ScoreCache::WarmGuarded(const std::vector<ConceptId>& concepts,
+                               Supervisor* supervisor) {
+  ScopedSpan span(&GlobalTrace(), "warm.batch");
+  span.AddTag("concepts", static_cast<uint64_t>(concepts.size()));
+  auto body = [&](ConceptId c, int attempt) {
+    ConceptScores computed = WarmConcept(*kb_, c, model_, params_);
+    if (supervisor->NanFaultActive(PipelineStage::kScoreWarm, c.value, attempt) &&
+        !computed.scores.empty()) {
+      computed.scores.begin()->second = std::numeric_limits<double>::quiet_NaN();
+    }
+    return computed;
+  };
+  std::function<std::string(const ConceptScores&)> validate =
+      [](const ConceptScores& computed) {
+        for (const auto& entry : computed.scores) {
+          if (!std::isfinite(entry.second)) {
+            return std::string("non-finite score in converged walk");
+          }
+        }
+        return std::string();
+      };
+  return supervisor->RunGuardedEach<ConceptScores>(
+      PipelineStage::kScoreWarm, concepts, body, validate,
+      [&](ConceptId c, ConceptScores&& computed) {
+        if (!computed.converged) {
+          supervisor->health()->Record(
+              c.value, ConceptOutcome::kDegraded, 0, PipelineStage::kScoreWarm,
+              "walk did not converge after " + std::to_string(computed.iterations) +
+                  " iterations; scores capped to [0, 1]");
+        }
+        Insert(c, std::move(computed.scores));
+      });
 }
 
 }  // namespace semdrift

@@ -9,8 +9,11 @@
 #include "kb/knowledge_base.h"
 #include "rank/concept_graph.h"
 #include "text/ids.h"
+#include "util/status.h"
 
 namespace semdrift {
+
+class Supervisor;
 
 /// The three instance-scoring models compared in Table 2. The paper's
 /// score(.) (Eq. 3) is kRandomWalk; the others are baselines.
@@ -42,7 +45,8 @@ struct WalkOutcome {
 
 /// Scores every live instance of a concept under one model. Scores are
 /// normalized to sum to 1 over the concept (they are visit probabilities
-/// for the walk models; frequency is normalized for comparability).
+/// for the walk models; frequency is normalized for comparability). This
+/// is ScoreConceptChecked(...).scores.
 std::unordered_map<InstanceId, double> ScoreConcept(const KnowledgeBase& kb,
                                                     ConceptId c, RankModel model,
                                                     const WalkParams& params = {});
@@ -65,7 +69,7 @@ struct ConceptScores {
 /// result: non-finite entries are zeroed and the rest clamped into [0, 1], so
 /// a degraded concept still yields usable (capped) scores instead of
 /// poisoning downstream features. A converged result is passed through
-/// untouched — on the happy path this is bit-identical to ScoreConcept.
+/// untouched.
 ConceptScores ScoreConceptChecked(const KnowledgeBase& kb, ConceptId c,
                                   RankModel model, const WalkParams& params = {});
 
@@ -101,10 +105,14 @@ class ScoreCache {
   /// resulting cache state is bit-identical for every thread count.
   void Warm(const std::vector<ConceptId>& concepts);
 
-  /// Inserts a precomputed score map; first insert wins (a concept already
-  /// cached is left untouched). Lets the supervised pipeline warm the cache
-  /// one guarded concept at a time with checked (possibly degraded) results.
-  void Insert(ConceptId c, std::unordered_map<InstanceId, double> scores);
+  /// Warm() under supervision: each concept's checked walk runs in a
+  /// StageGuard (util/supervisor.h) and outcomes merge in input order. A
+  /// walk that throws, stalls past its deadline or emits NaN is quarantined
+  /// and stays out of the cache; a non-converged walk is inserted capped to
+  /// [0, 1] and its concept recorded degraded; an already-cached concept
+  /// keeps its map. Fault-free, a fresh cache ends up as Warm() leaves it.
+  /// Returns the supervisor's fail-fast error, if any.
+  Status WarmGuarded(const std::vector<ConceptId>& concepts, Supervisor* supervisor);
 
  private:
   const KnowledgeBase* kb_;
@@ -116,6 +124,9 @@ class ScoreCache {
   mutable std::unordered_map<uint32_t,
                              std::unique_ptr<std::unordered_map<InstanceId, double>>>
       cache_;
+
+  /// First insert wins: an already-cached concept keeps its map.
+  void Insert(ConceptId c, std::unordered_map<InstanceId, double> scores);
 };
 
 }  // namespace semdrift

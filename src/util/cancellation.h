@@ -78,8 +78,8 @@ class ScopedCancellation {
 
 /// Poll point for long loops (the RWR power iteration, injected stalls):
 /// throws StageCancelledError when the current token says stop, does nothing
-/// when no token is installed. Cheap — one thread-local read on the
-/// unsupervised path.
+/// when no token is installed. Cheap — one thread-local read outside a
+/// guarded stage, plus a relaxed load under a token without a deadline.
 void PollCancellation(const char* where);
 
 }  // namespace semdrift

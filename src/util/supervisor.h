@@ -11,6 +11,7 @@
 #include "util/cancellation.h"
 #include "util/fault_injection.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace semdrift {
 
@@ -229,6 +230,36 @@ class Supervisor {
       }
     }
     return false;
+  }
+
+  /// The guarded per-concept fan-out behind every per-concept stage driver:
+  /// body(id, attempt) runs inside RunGuarded for each entry of `scope`
+  /// across the thread pool; the outcomes then merge serially in scope
+  /// order (MergeOutcome), and accept(id, value) receives each surviving
+  /// concept's value in that same order. Quarantined concepts are skipped;
+  /// a fail-fast merge error stops the merge and is returned.
+  template <typename T, typename Id, typename Body, typename Accept>
+  Status RunGuardedEach(PipelineStage stage, const std::vector<Id>& scope,
+                        const Body& body,
+                        const std::function<std::string(const T&)>& validate,
+                        const Accept& accept) {
+    struct Slot {
+      T value;
+      StageOutcome outcome;
+    };
+    std::vector<Slot> slots = ParallelMap<Slot>(scope.size(), [&](size_t i) {
+      Id id = scope[i];
+      Slot slot;
+      std::function<T(int)> attempt_body = [&](int attempt) { return body(id, attempt); };
+      RunGuarded<T>(stage, id.value, attempt_body, validate, &slot.value, &slot.outcome);
+      return slot;
+    });
+    for (size_t i = 0; i < scope.size(); ++i) {
+      Status merged = MergeOutcome(stage, scope[i].value, slots[i].outcome);
+      if (!merged.ok()) return merged;
+      if (slots[i].outcome.ok) accept(scope[i], std::move(slots[i].value));
+    }
+    return Status::OK();
   }
 
   /// True when the plan says this (stage, concept_id, attempt) should emit NaN.

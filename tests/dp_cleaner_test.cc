@@ -198,5 +198,64 @@ TEST(DpCleanerEndToEndTest, UngatedModeRemovesMore) {
   EXPECT_LE(raw_kb.num_live_pairs(), gated_kb.num_live_pairs());
 }
 
+/// Byte-level fingerprint of a cleaning run: the KB's provenance log plus
+/// the report's counts, flagged pairs and Eq. 21 decisions.
+std::string Fingerprint(const KnowledgeBase& kb, const CleaningReport& report) {
+  std::string out = "rounds=" + std::to_string(report.rounds) +
+                    " rolled=" + std::to_string(report.records_rolled_back) +
+                    " live=" + std::to_string(report.live_pairs_before) + "->" +
+                    std::to_string(report.live_pairs_after) + "\n";
+  for (const IsAPair& pair : report.accidental_dps) {
+    out += "A " + std::to_string(pair.concept_id.value) + "," +
+           std::to_string(pair.instance.value) + "\n";
+  }
+  for (const IsAPair& pair : report.intentional_dps) {
+    out += "I " + std::to_string(pair.concept_id.value) + "," +
+           std::to_string(pair.instance.value) + "\n";
+  }
+  for (const SentenceCheckDecision& d : report.sentence_checks) {
+    out += "S " + std::to_string(d.record_id) + "," +
+           std::to_string(d.extracted_concept.value) + "," +
+           std::to_string(d.best_concept.value) + "," + (d.rolled_back ? "1" : "0") +
+           "\n";
+  }
+  for (const ExtractionRecord& r : kb.records()) {
+    out += "R " + std::to_string(r.id) + "," + std::to_string(r.sentence.value) +
+           "," + std::to_string(r.concept_id.value) + "," + (r.rolled_back ? "1" : "0") +
+           "\n";
+  }
+  return out;
+}
+
+/// A numeric failure inside the default detector (a negative local ridge
+/// makes every manifold local inverse fail) sends Clean() down the fallback
+/// ladder: the run matches one that trains the ladder's first rung directly.
+TEST(DpCleanerEndToEndTest, ManifoldFailureTakesTheAdHocLadder) {
+  ExperimentConfig config = PaperScaleConfig(0.05);
+  auto experiment = Experiment::Build(config);
+  std::vector<ConceptId> scope = experiment->EvalConcepts();
+  auto clean = [&](const CleanerOptions& options) {
+    DpCleaner cleaner(&experiment->corpus().sentences,
+                      experiment->MakeVerifiedSource(),
+                      experiment->world().num_concepts(), options);
+    KnowledgeBase kb = experiment->Extract();
+    CleaningReport report = cleaner.Clean(&kb, scope);
+    return Fingerprint(kb, report);
+  };
+  CleanerOptions broken;
+  broken.max_rounds = 2;
+  broken.train.manifold.local_lambda = -1.0;
+  CleanerOptions ladder = broken;
+  ladder.detector = DetectorKind::kAdHoc3;
+
+  std::string fell_back = clean(broken);
+  std::string direct = clean(ladder);
+  // The ad-hoc detector must actually clean something, or equality would
+  // hold for a clean that stopped before its first round.
+  ASSERT_EQ(direct.find("rounds=0 "), std::string::npos);
+  ASSERT_EQ(direct.find("rolled=0 "), std::string::npos);
+  EXPECT_EQ(fell_back, direct);
+}
+
 }  // namespace
 }  // namespace semdrift

@@ -104,6 +104,30 @@ TEST(AdHocDetectorTest, NullWhenSingleClass) {
             nullptr);
 }
 
+TEST(TrainDetectorSupervisedTest, UntrainablePoolReturnsNoDetectorEvenFailFast) {
+  // Three labeled rows of one class: too small a pool for KPCA and a single
+  // class for every ad-hoc rung. Nothing threw, so even fail-fast mode
+  // records the fallback and returns no detector instead of an error.
+  TrainingData data;
+  ConceptTrainingData entry;
+  entry.concept_id = ConceptId(0);
+  for (int i = 0; i < 3; ++i) {
+    entry.instances.push_back(InstanceId(i));
+    entry.features.push_back({0.5, 0, 1, 1});
+    entry.seed_labels.push_back(DpClass::kNonDP);
+  }
+  data.push_back(std::move(entry));
+  SupervisorOptions options;
+  options.max_retries = 0;
+  options.quarantine = false;
+  Supervisor supervisor(options);
+  Result<SupervisedTrainResult> result = TrainDetectorSupervised(
+      DetectorKind::kSemiSupervisedMultiTask, data, DetectorTrainOptions{}, &supervisor);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->detector, nullptr);
+  EXPECT_TRUE(supervisor.health()->detector_fallback());
+}
+
 TEST(SupervisedDetectorTest, HighAccuracyOnPlantedData) {
   TrainingData data = MakePlantedData(4, 25, 5);
   DetectorTrainOptions options;

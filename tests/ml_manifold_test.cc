@@ -111,5 +111,20 @@ TEST(ManifoldTest, LocalLambdaScalesPenalty) {
   EXPECT_GT(a_large.Trace(), a_small.Trace());
 }
 
+TEST(ManifoldTest, NonPositiveDefiniteLocalSystemReturnsEmpty) {
+  // H G_i H has the constant vector in its null space, so with a negative
+  // ridge H G_i H + lambda I is never positive definite.
+  Rng rng(11);
+  Matrix x(20, 3);
+  for (size_t i = 0; i < 20; ++i)
+    for (size_t j = 0; j < 3; ++j) x(i, j) = rng.NextGaussian();
+  ManifoldOptions options;
+  options.k = 4;
+  options.local_lambda = -1.0;
+  Matrix a = BuildManifoldRegularizer(x, options);
+  EXPECT_EQ(a.rows(), 0u);
+  EXPECT_EQ(a.cols(), 0u);
+}
+
 }  // namespace
 }  // namespace semdrift

@@ -6,6 +6,7 @@
 
 #include "dp/cleaner.h"
 #include "eval/experiment.h"
+#include "obs/metrics.h"
 #include "util/supervisor.h"
 #include "util/thread_pool.h"
 
@@ -80,6 +81,32 @@ TEST(SupervisedCleanTest, FaultFreeMatchesUnsupervised) {
   EXPECT_EQ(plain.records_rolled_back, supervised->records_rolled_back);
   EXPECT_EQ(plain.live_pairs_after, supervised->live_pairs_after);
   EXPECT_TRUE(supervisor.health()->empty());
+}
+
+/// The guarded warm is the clean's only warm driver, so it feeds the warm
+/// metrics (perfbench derives rank.warm_cpu_ratio from warm.concept_ns):
+/// every round warms each concept of the scope once.
+TEST(SupervisedCleanTest, GuardedWarmRecordsWarmMetrics) {
+  auto experiment = Experiment::Build(SmallConfig());
+  std::vector<ConceptId> scope = experiment->EvalConcepts();
+  DpCleaner cleaner(&experiment->corpus().sentences,
+                    experiment->MakeVerifiedSource(),
+                    experiment->world().num_concepts(), FastCleanerOptions());
+
+  KnowledgeBase kb = experiment->Extract();
+  Supervisor supervisor(FastSupervisorOptions());
+  SupervisedCleanHooks hooks;
+  hooks.supervisor = &supervisor;
+  uint64_t concepts_before = GlobalMetrics().CounterValue("warm.concepts");
+  uint64_t timed_before = GlobalMetrics().HistogramValues("warm.concept_ns").count;
+  auto report = cleaner.CleanSupervised(&kb, scope, hooks);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_GT(report->rounds, 0);
+
+  uint64_t warmed = scope.size() * static_cast<uint64_t>(report->rounds);
+  EXPECT_EQ(GlobalMetrics().CounterValue("warm.concepts") - concepts_before, warmed);
+  EXPECT_EQ(GlobalMetrics().HistogramValues("warm.concept_ns").count - timed_before,
+            warmed);
 }
 
 /// Acceptance gate 2: persistent faults quarantine exactly the planned

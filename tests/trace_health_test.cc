@@ -4,7 +4,8 @@
 // run's report exactly (ToLines() equality). Also pins the determinism
 // contract: the deterministic span fields (CanonicalLine) are identical at
 // any thread count. The default (unsupervised) clean is attributable too:
-// it emits its detector-train and classify spans from the calling thread.
+// it emits its detector-train, classify and Eq. 21 spans from the calling
+// thread.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -178,7 +179,8 @@ TEST(TraceHealthTest, UnsupervisedCleanTracesTrainAndScoreWithoutChangingOutput)
   Run traced = clean(/*traced=*/true);
 
   EXPECT_TRUE(plain.spans.empty());
-  size_t train_spans = 0, score_spans = 0;
+  size_t train_spans = 0, score_spans = 0, adjudicate_spans = 0;
+  uint64_t checks = 0, rolled_back = 0;
   for (const TraceSpan& s : traced.spans) {
     if (s.name == "detector.train") {
       ++train_spans;
@@ -187,11 +189,19 @@ TEST(TraceHealthTest, UnsupervisedCleanTracesTrainAndScoreWithoutChangingOutput)
     } else if (s.name == "score.batch") {
       ++score_spans;
       EXPECT_EQ(TagValue(s, "concepts"), std::to_string(scope.size()));
+    } else if (s.name == "adjudicate.batch") {
+      ++adjudicate_spans;
+      checks += std::stoull(TagValue(s, "checks"));
+      rolled_back += std::stoull(TagValue(s, "rolled_back"));
     }
   }
   ASSERT_GT(traced.report.rounds, 0);
   EXPECT_EQ(train_spans, static_cast<size_t>(traced.report.rounds));
   EXPECT_EQ(score_spans, static_cast<size_t>(traced.report.rounds));
+  // One Eq. 21 span per round; its tags add up to the report's totals.
+  EXPECT_EQ(adjudicate_spans, static_cast<size_t>(traced.report.rounds));
+  EXPECT_EQ(checks, traced.report.sentence_checks.size());
+  EXPECT_EQ(rolled_back, traced.report.records_rolled_back);
 
   EXPECT_FALSE(plain.image.empty());
   EXPECT_EQ(traced.image, plain.image);

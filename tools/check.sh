@@ -2,7 +2,8 @@
 # One-command quality gates. Run from the repo root:
 #
 #   tools/check.sh [jobs]             sanitizer gate (ASan+UBSan suite, then
-#                                     the concurrency tests under TSan)
+#                                     the concurrency tests under TSan, run
+#                                     up to [jobs] at a time)
 #   tools/check.sh --coverage [jobs]  gcov line-coverage gate: full suite in
 #                                     an instrumented tree, per-directory
 #                                     coverage table, hard floor of 80% on
@@ -205,9 +206,32 @@ TSAN_TARGETS=(thread_pool_test parallel_determinism_test supervisor_test
 cmake -B build-tsan -S . -DSEMDRIFT_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j "$JOBS" --target "${TSAN_TARGETS[@]}"
+# The targets run concurrently, up to $JOBS at a time, each into its own
+# log; every failing target's log is printed before the stage fails.
+TSAN_LOGS="$(mktemp -d)"
+trap 'rm -rf "$TSAN_LOGS"' EXIT
+run_tsan_target() {
+  local start=$SECONDS
+  if "build-tsan/tests/$1" > "$2/$1.log" 2>&1; then
+    echo "-- TSan: $1 ok ($((SECONDS - start)) s)"
+  else
+    echo "-- TSan: $1 FAILED ($((SECONDS - start)) s)"
+    touch "$2/$1.failed"
+  fi
+}
+export -f run_tsan_target
+TSAN_START=$SECONDS
+printf '%s\n' "${TSAN_TARGETS[@]}" |
+  xargs -P "$JOBS" -I{} bash -c 'run_tsan_target "$1" "$2"' _ {} "$TSAN_LOGS"
+echo "-- TSan stage: $((SECONDS - TSAN_START)) s"
+TSAN_FAILED=0
 for t in "${TSAN_TARGETS[@]}"; do
-  echo "-- TSan: $t"
-  "build-tsan/tests/$t"
+  if [[ -e "$TSAN_LOGS/$t.failed" ]]; then
+    echo "== TSan: $t failed; its log follows =="
+    cat "$TSAN_LOGS/$t.log"
+    TSAN_FAILED=1
+  fi
 done
+if [[ "$TSAN_FAILED" != 0 ]]; then exit 1; fi
 
 echo "OK: ASan+UBSan suite and TSan concurrency tests all green"

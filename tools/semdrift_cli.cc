@@ -15,9 +15,13 @@
 //       --no-clean), report quality against ground truth, export the
 //       taxonomy. With --checkpoint-dir the run snapshots after every
 //       iteration and --resume continues from the latest valid snapshot.
-//       --supervise (implied by --health-report or --fault-rate > 0) runs
-//       the cleaning stages under the supervision layer: per-concept
-//       deadlines, bounded retries and quarantine, with --health-report
+//       Every clean runs its stages (warm, collect, train, score) under
+//       stage guards; without --supervise the policy is pass-through (no
+//       deadline, no retries, a failing stage ends the run, a detector
+//       that trains nothing falls back to an ad-hoc one). --supervise
+//       (implied by --health-report or --fault-rate > 0) chooses the
+//       policy instead: per-concept deadlines, bounded retries and
+//       quarantine, per-round clean checkpoints, and --health-report
 //       printing the per-concept outcome table. The --fault-* flags enable
 //       seeded compute-fault injection (kinds: throw,stall,nan; stages:
 //       warm,collect,train,score) for robustness drills. --trace-out /
@@ -241,6 +245,8 @@ int Usage() {
       "               [--fault-stages warm,collect,train,score]\n"
       "               [--trace-out T.jsonl] [--trace-chrome T.json]\n"
       "               [--metrics-out M.json]\n"
+      "               (--supervise sets the stage-guard policy, fault injection,\n"
+      "               the health report and per-round clean checkpoints)\n"
       "  semdrift stream --world W --corpus C --epochs N\n"
       "               [--full-rebuild-every K] [--no-final-rebuild]\n"
       "               [--rebuild-dirty-frac F] [--publish-dir D]\n"
